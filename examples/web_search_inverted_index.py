@@ -73,7 +73,7 @@ def main() -> None:
     result = server.run(trace, warmup_accesses=args.accesses // 2)
     bump = server.bump
 
-    trained_tuples = len(bump.bht.table)
+    trained_tuples = len(bump.bht)
     rows = [
         ["BHT (PC,offset) tuples trained", str(trained_tuples)],
         ["BHT storage", f"{bump.bht.storage_bits() / 8 / 1024:.2f} KiB"],

@@ -15,7 +15,7 @@ DRAM traffic.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.common.request import LLCRequest
 from repro.cache.set_assoc import EvictedLine
@@ -30,8 +30,8 @@ class AgentActions:
 
     __slots__ = ("fetch_blocks", "writeback_blocks")
 
-    def __init__(self, fetch_blocks: Optional[List[int]] = None,
-                 writeback_blocks: Optional[List[int]] = None) -> None:
+    def __init__(self, fetch_blocks: Optional[Sequence[int]] = None,
+                 writeback_blocks: Optional[Sequence[int]] = None) -> None:
         #: Block addresses to fetch from memory into the LLC if not resident.
         self.fetch_blocks: List[int] = fetch_blocks if fetch_blocks is not None else []
         #: Block addresses whose dirty copies should be eagerly written back.
@@ -54,30 +54,37 @@ class AgentActions:
                 f"writeback_blocks={self.writeback_blocks!r})")
 
 
+#: The bundle every hook returns when it requests no traffic -- nearly every
+#: notification -- so the common case allocates nothing.  Built on tuples:
+#: callers read bundles but never extend one they did not build, and merging
+#: into this shared one raises instead of leaking traffic into later hooks.
+NO_ACTIONS = AgentActions((), ())
+
+
 class LLCAgent:
     """Base class for engines attached to the LLC.
 
     Subclasses override only the notifications they care about; every default
-    implementation returns an empty :class:`AgentActions`.
+    implementation returns the shared empty bundle :data:`NO_ACTIONS`.
     """
 
     name = "agent"
 
     def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
         """A demand request (read or write) probed the LLC."""
-        return AgentActions()
+        return NO_ACTIONS
 
     def on_miss(self, request: LLCRequest) -> AgentActions:
         """A demand request missed in the LLC and will be sent to memory."""
-        return AgentActions()
+        return NO_ACTIONS
 
     def on_fill(self, block_address: int, prefetched: bool) -> AgentActions:
         """A block was installed in the LLC."""
-        return AgentActions()
+        return NO_ACTIONS
 
     def on_eviction(self, victim: EvictedLine) -> AgentActions:
         """A block was evicted from the LLC (clean or dirty)."""
-        return AgentActions()
+        return NO_ACTIONS
 
     def storage_bits(self) -> int:
         """Total storage the agent's hardware structures require, in bits.

@@ -264,13 +264,8 @@ class FlatSetAssociativeCache:
     @property
     def stats(self) -> StatGroup:
         """Counters as a :class:`StatGroup` (pending increments flushed)."""
-        group = self._stats
-        for attr, key in self._PENDING_COUNTERS:
-            value = getattr(self, attr)
-            if value:
-                group.inc(key, value)
-                setattr(self, attr, 0)
-        return group
+        self._stats.fold(self, self._PENDING_COUNTERS)
+        return self._stats
 
     # ------------------------------------------------------------------ #
     # Probing

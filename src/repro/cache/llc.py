@@ -66,13 +66,8 @@ class LastLevelCache:
     @property
     def stats(self) -> StatGroup:
         """Wrapper-level counters (pending hot increments flushed)."""
-        group = self._stats
-        for attr, key in self._PENDING_COUNTERS:
-            value = getattr(self, attr)
-            if value:
-                group.inc(key, value)
-                setattr(self, attr, 0)
-        return group
+        self._stats.fold(self, self._PENDING_COUNTERS)
+        return self._stats
 
     # ------------------------------------------------------------------ #
     # Demand path

@@ -1,12 +1,13 @@
 """Set-associative predictor table.
 
-BuMP's trigger, density, bulk-history and dirty-region tables, as well as the
-SMS pattern tables, are all small set-associative SRAM structures with LRU
-replacement.  :class:`AssociativeTable` models exactly that: a bounded
-key-value store organised as ``entries / associativity`` sets, where
-insertion into a full set evicts the least-recently-used entry of that set
-and reports the eviction to the caller (BuMP uses such conflict evictions as
-region terminations).
+The stride, SMS and Stealth prefetchers' tables are small set-associative
+SRAM structures with LRU replacement.  :class:`AssociativeTable` models
+exactly that: a bounded key-value store organised as ``entries /
+associativity`` sets, where insertion into a full set evicts the
+least-recently-used entry of that set and reports the eviction to the
+caller.  BuMP's tables follow the same per-set LRU discipline, but on bare
+per-set dicts its hooks work on directly (see
+:meth:`repro.core.config.BuMPConfig.table_sets`).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ benchmark harness assemble the exact rows the paper's figures report.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 class StatGroup:
@@ -60,6 +60,21 @@ class StatGroup:
         for key, value in values.items():
             self._counters[key] += value
 
+    def fold(self, owner: object, counters: Iterable[Tuple[str, str]]) -> None:
+        """Add ``owner``'s pending int counters to this group and zero them.
+
+        Hot paths count events as plain int attributes and fold them here
+        whenever the group is read.  ``counters`` lists ``(attribute, key)``
+        pairs; a zero counter is skipped, so a key appears exactly when
+        :meth:`inc` would have created it.
+        """
+        group = self._counters
+        for attr, key in counters:
+            value = getattr(owner, attr)
+            if value:
+                group[key] += value
+                setattr(owner, attr, 0)
+
     def snapshot(self) -> Dict[str, float]:
         """Return a plain-dict copy of the current counter values."""
         return dict(self._counters)
@@ -90,3 +105,25 @@ class StatGroup:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
         return f"StatGroup({self.name}: {body})"
+
+
+class EventCounters:
+    """Base for components that count hot-path events as plain ints.
+
+    Each key listed in ``COUNTERS`` is counted in an ``n_<key>`` int
+    attribute and folded into the component's :class:`StatGroup` whenever
+    :attr:`stats` is read.
+    """
+
+    COUNTERS: Tuple[str, ...] = ()
+
+    def _init_counters(self, name: str) -> None:
+        self._stats = StatGroup(name)
+        for key in self.COUNTERS:
+            setattr(self, "n_" + key, 0)
+
+    @property
+    def stats(self) -> StatGroup:
+        """Event counters (pending hot-path counts folded in)."""
+        self._stats.fold(self, (("n_" + key, key) for key in self.COUNTERS))
+        return self._stats

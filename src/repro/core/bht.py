@@ -8,60 +8,46 @@ issue a bulk read of the region's remaining blocks (Section IV.B).
 
 Entries carry only a valid bit in the paper; here each entry also remembers
 how many times it was trained and how many bulk transfers it triggered so the
-experiment harness can report predictor behaviour.
+experiment harness can report predictor behaviour.  The table is a list of
+per-set dicts (see :meth:`BuMPConfig.table_sets`) mapping ``(pc, offset)``
+to a ``[trainings, triggers]`` list.  The per-miss probe runs in
+:meth:`repro.core.bump.BuMPPredictor.on_miss`, directly on these sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional
 
-from repro.common.assoc_table import AssociativeTable
-from repro.common.stats import StatGroup
+from repro.common.stats import EventCounters
 from repro.core.config import BuMPConfig
 
 
-@dataclass
-class BHTEntry:
-    """Metadata stored for one learned (PC, offset) tuple."""
-
-    trainings: int = 1
-    triggers: int = 0
-
-
-class BulkHistoryTable:
+class BulkHistoryTable(EventCounters):
     """Predicts whether an LLC miss falls into a high-density region."""
+
+    COUNTERS = ("trainings", "probes", "hits")
 
     def __init__(self, config: BuMPConfig = None) -> None:
         self.config = config if config is not None else BuMPConfig()
-        self.table: AssociativeTable[Tuple[int, int], BHTEntry] = AssociativeTable(
-            self.config.bht_entries, self.config.associativity, name="bht"
-        )
-        self.stats = StatGroup("bht")
+        self.sets = self.config.table_sets(self.config.bht_entries)
+        self._init_counters("bht")
 
     def train(self, pc: int, offset: int) -> None:
         """Record that (``pc``, ``offset``) triggered a high-density region."""
-        key = (pc, offset)
-        entry = self.table.lookup(key)
-        self.stats.inc("trainings")
-        if entry is not None:
-            entry.trainings += 1
-            return
-        self.table.insert(key, BHTEntry())
-
-    def predict(self, pc: int, offset: int) -> bool:
-        """True when an LLC miss from (``pc``, ``offset``) should bulk-fetch."""
-        entry = self.table.lookup((pc, offset))
-        self.stats.inc("probes")
+        self.n_trainings += 1
+        entry = self.entry_for(pc, offset)
         if entry is None:
-            return False
-        entry.triggers += 1
-        self.stats.inc("hits")
-        return True
+            entry = [0, 0]
+        entry[0] += 1
+        self.config.touch(self.sets, (pc, offset), entry)
 
-    def entry_for(self, pc: int, offset: int) -> Optional[BHTEntry]:
-        """Inspect the entry for a tuple without touching statistics."""
-        return self.table.lookup((pc, offset), touch=False)
+    def entry_for(self, pc: int, offset: int) -> Optional[List[int]]:
+        """The ``[trainings, triggers]`` entry of a tuple (LRU untouched)."""
+        key = (pc, offset)
+        return BuMPConfig.set_of(self.sets, key).get(key)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.sets))
 
     @property
     def hit_ratio(self) -> float:

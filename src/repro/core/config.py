@@ -82,10 +82,52 @@ class BuMPConfig:
         """Block offset of a block address within its region."""
         return (block_address % self.region_size_bytes) // BLOCK_SIZE
 
+    def table_sets(self, entries: int) -> list:
+        """Empty sets of an ``entries``-entry table at this associativity.
+
+        Every BuMP structure is a list of per-set dicts indexed by
+        ``hash(key) % len(sets)``.  A set is insertion-ordered from least to
+        most recently used: a touch is delete + reinsert and the victim of
+        a full set is its first key, which is exact LRU per set.
+        """
+        if entries <= 0 or self.associativity <= 0:
+            raise ValueError("entries and associativity must be positive")
+        if entries % self.associativity != 0:
+            raise ValueError("entries must be a multiple of associativity")
+        return [{} for _ in range(entries // self.associativity)]
+
+    @staticmethod
+    def set_of(sets: list, key) -> dict:
+        """The set of a :meth:`table_sets` table that holds ``key``."""
+        return sets[hash(key) % len(sets)]
+
+    def touch(self, sets: list, key, value) -> bool:
+        """Store ``key`` -> ``value`` as its set's most recently used entry.
+
+        Returns whether a full set displaced its least recently used key.
+        The hooks of :class:`repro.core.bump.BuMPPredictor` inline this.
+        """
+        table_set = self.set_of(sets, key)
+        displaced = (table_set.pop(key, None) is None
+                     and len(table_set) >= self.associativity)
+        if displaced:
+            del table_set[next(iter(table_set))]
+        table_set[key] = value
+        return displaced
+
     def region_blocks(self, region: int) -> list:
-        """Block addresses of every block in ``region``."""
+        """Block addresses of every block in ``region``, ascending."""
         base = region * self.region_size_bytes
-        return [base + i * BLOCK_SIZE for i in range(self.blocks_per_region)]
+        return list(range(base, base + self.region_size_bytes, BLOCK_SIZE))
+
+    def other_region_blocks(self, block_address: int) -> list:
+        """Every block of ``block_address``'s region but that (aligned) block.
+
+        The blocks a bulk transfer triggered by ``block_address`` moves.
+        """
+        blocks = self.region_blocks(self.region_of(block_address))
+        del blocks[self.offset_of(block_address)]
+        return blocks
 
 
 DEFAULT_BUMP_CONFIG = BuMPConfig()

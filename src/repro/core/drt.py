@@ -8,51 +8,43 @@ high-density *modified* regions in the DRT, indexed by region address.
 On a dirty LLC eviction the DRT is probed; a hit means the evicted block
 belongs to a known high-density modified region, so the writeback generation
 logic issues bulk writebacks for the region's remaining dirty blocks and the
-entry is invalidated.
+entry is invalidated.  The table is a list of per-set dicts (see
+:meth:`BuMPConfig.table_sets`) mapping a region to ``True``; the probe runs
+in :meth:`repro.core.bump.BuMPPredictor.on_eviction`, directly on these sets.
 """
 
 from __future__ import annotations
 
-from repro.common.assoc_table import AssociativeTable
-from repro.common.stats import StatGroup
+from repro.common.stats import EventCounters
 from repro.core.config import BuMPConfig
 
 
-class DirtyRegionTable:
+class DirtyRegionTable(EventCounters):
     """Tracks cache-resident high-density modified regions."""
+
+    COUNTERS = ("insertions", "conflict_evictions", "probes", "hits")
 
     def __init__(self, config: BuMPConfig = None) -> None:
         self.config = config if config is not None else BuMPConfig()
-        self.table: AssociativeTable[int, bool] = AssociativeTable(
-            self.config.drt_entries, self.config.associativity, name="drt"
-        )
-        self.stats = StatGroup("drt")
+        self.sets = self.config.table_sets(self.config.drt_entries)
+        self._init_counters("drt")
 
     def insert(self, region: int) -> None:
         """Record ``region`` as a high-density modified region."""
-        self.stats.inc("insertions")
-        victim = self.table.insert(region, True)
-        if victim is not None:
-            self.stats.inc("conflict_evictions")
-
-    def probe_and_invalidate(self, region: int) -> bool:
-        """Probe on a dirty eviction; a hit consumes (invalidates) the entry."""
-        self.stats.inc("probes")
-        if self.table.remove(region) is None:
-            return False
-        self.stats.inc("hits")
-        return True
+        self.n_insertions += 1
+        if self.config.touch(self.sets, region, True):
+            self.n_conflict_evictions += 1
 
     def contains(self, region: int) -> bool:
-        """Presence check that does not consume the entry (test helper)."""
-        return self.table.contains(region)
+        """Presence check that does not consume the entry or touch LRU."""
+        return region in BuMPConfig.set_of(self.sets, region)
 
     def invalidate(self, region: int) -> None:
         """Drop a region (used when its blocks all left the LLC)."""
-        self.table.remove(region)
+        BuMPConfig.set_of(self.sets, region).pop(region, None)
 
     def __len__(self) -> int:
-        return len(self.table)
+        return sum(map(len, self.sets))
 
     @property
     def hit_ratio(self) -> float:

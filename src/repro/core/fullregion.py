@@ -30,24 +30,17 @@ class FullRegionStreamer(LLCAgent):
 
     def on_miss(self, request: LLCRequest) -> AgentActions:
         """Fetch the whole region around every LLC miss."""
-        actions = AgentActions()
-        region = self.config.region_of(request.block_address)
-        for block in self.config.region_blocks(region):
-            if block != request.block_address:
-                actions.fetch_blocks.append(block)
+        actions = AgentActions(self.config.other_region_blocks(request.block_address))
         self.stats.inc("bulk_read_triggers")
         self.stats.inc("bulk_read_blocks_requested", len(actions.fetch_blocks))
         return actions
 
     def on_eviction(self, victim: EvictedLine) -> AgentActions:
         """Write back the whole region around every dirty eviction."""
-        actions = AgentActions()
         if not victim.dirty:
-            return actions
-        region = self.config.region_of(victim.block_address)
-        for block in self.config.region_blocks(region):
-            if block != victim.block_address:
-                actions.writeback_blocks.append(block)
+            return AgentActions()
+        actions = AgentActions(
+            writeback_blocks=self.config.other_region_blocks(victim.block_address))
         self.stats.inc("bulk_writeback_triggers")
         self.stats.inc("bulk_writeback_blocks_requested", len(actions.writeback_blocks))
         return actions

@@ -13,156 +13,55 @@ Internally it is split exactly as Section IV.B describes:
   adding a per-block access bit-vector ("pattern").
 
 A region *terminates* when one of its blocks is evicted from the LLC, or when
-its tracking entry is displaced by a table conflict.  Termination produces a
-:class:`TerminatedRegion` describing the observed density, which the BuMP
-engine uses to train the bulk history table and the dirty region table.
+its tracking entry is displaced by a table conflict.
+
+Both tables are lists of per-set dicts (see :meth:`BuMPConfig.table_sets`)
+mapping a region number to a five-slot entry list::
+
+    [region, trigger_pc, trigger_offset, pattern, dirty]
+
+``pattern`` is the access bit-vector (bit *i* for block offset *i*) and
+``dirty`` whether any access was a store.  This module owns the state and
+its counters; the training itself runs in the hooks of
+:class:`repro.core.bump.BuMPPredictor`, which build and read these entries
+directly because they run on every LLC access and eviction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import List, Optional
 
-from repro.common.assoc_table import AssociativeTable
-from repro.common.stats import StatGroup
+from repro.common.stats import EventCounters
 from repro.core.config import BuMPConfig
 
 
-class TerminationReason(Enum):
-    """Why an active region stopped being tracked."""
-
-    EVICTION = "eviction"
-    CONFLICT = "conflict"
-
-
-@dataclass
-class RegionEntry:
-    """Tracking state of one active region."""
-
-    region: int
-    trigger_pc: int
-    trigger_offset: int
-    pattern: int
-    dirty: bool = False
-
-    def accessed_blocks(self) -> int:
-        """Number of distinct blocks accessed so far."""
-        return bin(self.pattern).count("1")
-
-
-@dataclass
-class TerminatedRegion:
-    """Summary handed to the BuMP engine when a region terminates."""
-
-    entry: RegionEntry
-    reason: TerminationReason
-    #: For eviction-triggered terminations, whether the evicted block was dirty.
-    evicted_dirty: bool = False
-
-    def is_high_density(self, threshold_blocks: int) -> bool:
-        """True when the region reached the high-density threshold."""
-        return self.entry.accessed_blocks() >= threshold_blocks
-
-
-class RegionDensityTracker:
+class RegionDensityTracker(EventCounters):
     """The RDTT: trigger table + density table."""
+
+    COUNTERS = ("accesses", "allocations", "promotions", "trigger_conflicts",
+                "density_conflicts", "evictions_seen", "eviction_terminations")
 
     def __init__(self, config: BuMPConfig = None) -> None:
         self.config = config if config is not None else BuMPConfig()
-        self.trigger = AssociativeTable(
-            self.config.trigger_entries, self.config.associativity, name="trigger"
-        )
-        self.density = AssociativeTable(
-            self.config.density_entries, self.config.associativity, name="density"
-        )
-        self.stats = StatGroup("rdtt")
-
-    # ------------------------------------------------------------------ #
-    # LLC access stream
-    # ------------------------------------------------------------------ #
-    def observe_access(self, block_address: int, pc: int,
-                       is_write: bool) -> List[TerminatedRegion]:
-        """Record a demand LLC access; return regions terminated by conflicts."""
-        config = self.config
-        region = config.region_of(block_address)
-        offset = config.offset_of(block_address)
-        terminated: List[TerminatedRegion] = []
-        self.stats.inc("accesses")
-
-        entry = self.density.lookup(region)
-        if entry is not None:
-            entry.pattern |= 1 << offset
-            entry.dirty = entry.dirty or is_write
-            return terminated
-
-        entry = self.trigger.remove(region)
-        if entry is not None:
-            # Second distinct access: promote the region to the density table.
-            entry.pattern |= 1 << offset
-            entry.dirty = entry.dirty or is_write
-            victim = self.density.insert(region, entry)
-            self.stats.inc("promotions")
-            if victim is not None:
-                self.stats.inc("density_conflicts")
-                terminated.append(
-                    TerminatedRegion(entry=victim[1], reason=TerminationReason.CONFLICT)
-                )
-            return terminated
-
-        # First access to the region: allocate in the trigger table.
-        new_entry = RegionEntry(
-            region=region,
-            trigger_pc=pc,
-            trigger_offset=offset,
-            pattern=1 << offset,
-            dirty=is_write,
-        )
-        victim = self.trigger.insert(region, new_entry)
-        self.stats.inc("allocations")
-        if victim is not None:
-            # A displaced single-access region is by definition low density;
-            # report it anyway so callers can count it.
-            self.stats.inc("trigger_conflicts")
-            terminated.append(
-                TerminatedRegion(entry=victim[1], reason=TerminationReason.CONFLICT)
-            )
-        return terminated
-
-    # ------------------------------------------------------------------ #
-    # LLC eviction stream
-    # ------------------------------------------------------------------ #
-    def observe_eviction(self, block_address: int,
-                         dirty: bool) -> Optional[TerminatedRegion]:
-        """Record an LLC eviction; return the terminated region if it was active."""
-        region = self.config.region_of(block_address)
-        self.stats.inc("evictions_seen")
-
-        entry = self.density.remove(region)
-        if entry is None:
-            entry = self.trigger.remove(region)
-        if entry is None:
-            return None
-        self.stats.inc("eviction_terminations")
-        return TerminatedRegion(
-            entry=entry, reason=TerminationReason.EVICTION, evicted_dirty=dirty
-        )
+        self.trigger_sets = self.config.table_sets(self.config.trigger_entries)
+        self.density_sets = self.config.table_sets(self.config.density_entries)
+        self._init_counters("rdtt")
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def lookup_active(self, block_address: int) -> Optional[RegionEntry]:
-        """Return the active entry tracking ``block_address``'s region, if any."""
+    def lookup_active(self, block_address: int) -> Optional[List]:
+        """The entry tracking ``block_address``'s region, if any (LRU untouched)."""
         region = self.config.region_of(block_address)
-        entry = self.density.lookup(region, touch=False)
+        entry = BuMPConfig.set_of(self.density_sets, region).get(region)
         if entry is not None:
             return entry
-        return self.trigger.lookup(region, touch=False)
+        return BuMPConfig.set_of(self.trigger_sets, region).get(region)
 
     @property
     def active_regions(self) -> int:
         """Number of regions currently tracked in either table."""
-        return len(self.trigger) + len(self.density)
+        return sum(map(len, self.trigger_sets)) + sum(map(len, self.density_sets))
 
     def storage_bits(self) -> int:
         """Storage of both tables.

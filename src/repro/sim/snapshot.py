@@ -55,7 +55,7 @@ from repro.cache.engine import cache_engine_name
 from repro.cache.replacement import LRUPolicy
 from repro.common.fingerprint import canonical_data, fingerprint
 from repro.dram.engine import resolve_dram_engine
-from repro.sim.system import ServerSystem
+from repro.sim.system import ServerSystem, reclaim_finished_systems
 from repro.trace.buffer import as_chunk_iterator
 
 __all__ = [
@@ -75,7 +75,16 @@ __all__ = [
 #: changes incompatibly; :func:`load_snapshot` and :func:`restore` refuse
 #: other versions (the fingerprint additionally carries the package version,
 #: so stale-but-loadable snapshots never match a fresh fingerprint either).
-SNAPSHOT_FORMAT_VERSION = 1
+#: v2: BuMP's tables are per-set dicts of plain lists, with int counters.
+SNAPSHOT_FORMAT_VERSION = 2
+
+def _check_format(version) -> None:
+    if version != SNAPSHOT_FORMAT_VERSION:
+        raise ValueError(
+            f"snapshot format v{version} is not supported by this build "
+            f"(expected v{SNAPSHOT_FORMAT_VERSION}): capture the warm state "
+            "again with this build (capture_warmup, or repro snapshot create)")
+
 
 #: Crossbar counters (plain ints on the hot path), captured by name.
 _NOC_COUNTERS = (
@@ -368,10 +377,7 @@ def restore(snapshot: SystemSnapshot, telemetry=None,
     ``telemetry`` and ``interp`` are free choices of the restorer -- both
     are bit-identity-invariant, so neither is part of the captured state.
     """
-    if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
-        raise ValueError(
-            f"snapshot format v{snapshot.format_version} is not supported "
-            f"by this build (expected v{SNAPSHOT_FORMAT_VERSION})")
+    _check_format(snapshot.format_version)
     state = pickle.loads(snapshot.state_blob)
     system = ServerSystem(
         state["config"],
@@ -477,19 +483,23 @@ def capture_warmup(system: ServerSystem, trace, warmup_accesses: int):
 
     if warmup_accesses <= 0:
         raise ValueError("capture_warmup requires a positive warmup interval")
+    reclaim_finished_systems(system)
     system._refresh_agent_hooks()
     source = as_trace_source(trace)
     wants_feedback = bool(getattr(source, "wants_feedback", False))
     processed = 0
+    pulled = 0
     while True:
         feedback = system.feedback_sample(processed) if wants_feedback else None
         chunk = source.next_chunk(feedback)
         if chunk is None:
             raise ValueError(
                 "trace shorter than the requested warmup interval")
+        pulled += 1
         n = len(chunk)
         if not n:
             continue
+        system._check_cores(chunk, pulled - 1, source)
         if processed + n >= warmup_accesses:
             split = warmup_accesses - processed
             system._run_chunk(chunk if split == n else chunk[:split])
@@ -588,10 +598,7 @@ def load_snapshot(path) -> SystemSnapshot:
             json.JSONDecodeError) as exc:
         raise ValueError(f"corrupt snapshot container {path}: {exc}")
     version = meta.get("format_version")
-    if version != SNAPSHOT_FORMAT_VERSION:
-        raise ValueError(
-            f"snapshot format v{version} is not supported by this "
-            f"build (expected v{SNAPSHOT_FORMAT_VERSION})")
+    _check_format(version)
     return SystemSnapshot(
         format_version=version,
         package_version=meta["package_version"],

@@ -25,7 +25,9 @@ breakdown the experiments consume.
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 from typing import List, Optional
 
 import numpy as np
@@ -89,6 +91,31 @@ _HOT_COUNTERS = (
 #: DRAM request-kind codes, hoisted for the buffered flat-engine issue path.
 _DEMAND_READ_CODE = DRAMRequestKind.DEMAND_READ.code
 _DEMAND_WRITEBACK_CODE = DRAMRequestKind.DEMAND_WRITEBACK.code
+#: LLC request kinds, hoisted: an enum member lookup costs ~0.1 us per access.
+_LLC_DEMAND_READ = LLCRequestKind.DEMAND_READ
+_LLC_DEMAND_WRITE = LLCRequestKind.DEMAND_WRITE
+
+#: Systems whose :meth:`ServerSystem.run` has finished and that are still
+#: alive.  A finished system holds ~10 MB (mostly the LLC's block->slot dict
+#: and its int keys) that the cyclic collector does not track, and the
+#: allocation-light hot path seldom triggers a full collection, so one kept
+#: alive only by a reference cycle -- a closure stored on the system itself,
+#: say -- can linger while several later systems warm up.
+_FINISHED: "weakref.WeakSet[ServerSystem]" = weakref.WeakSet()
+
+
+def reclaim_finished_systems(running: "ServerSystem") -> None:
+    """Collect cyclic garbage if a finished system other than ``running`` lives.
+
+    Called before a warmup, the point where a new system grows to its full
+    footprint.  Survivors are reachable, so they are dropped from the watch
+    set: a caller holding finished systems pays for one collection, not one
+    per later run.
+    """
+    if any(system is not running for system in _FINISHED):
+        gc.collect()
+        _FINISHED.clear()
+
 
 #: Upper bound on the per-instruction-count cycle-increment memo
 #: (``_cycle_increment_cache``).  Synthetic workloads draw from a handful of
@@ -358,6 +385,8 @@ class ServerSystem:
         from repro.scenario.spec import Scenario
         from repro.trace.source import as_trace_source
 
+        if warmup_accesses > 0:
+            reclaim_finished_systems(self)
         if isinstance(trace, Scenario):
             trace = iter_scenario_chunks(trace)
         source = as_trace_source(trace)
@@ -370,6 +399,7 @@ class ServerSystem:
         self._refresh_agent_hooks()
         processed = 0
         measuring = False
+        pulled = 0
         while True:
             feedback = self.feedback_sample(processed) if wants_feedback else None
             if timing:
@@ -380,8 +410,10 @@ class ServerSystem:
                 chunk = source.next_chunk(feedback)
             if chunk is None:
                 break
+            pulled += 1
             if not len(chunk):
                 continue
+            self._check_cores(chunk, pulled - 1, source)
             if warmup_accesses and not measuring:
                 split = warmup_accesses - processed
                 if len(chunk) >= split:
@@ -408,14 +440,33 @@ class ServerSystem:
         if recorder is None:
             self._flush_dram()
             self.memory.drain()
-            return self._collect_results()
-        with recorder.span("dram_drain"):
-            self._flush_dram()
-            self.memory.drain()
-        with recorder.span("result_assembly"):
             result = self._collect_results()
-        recorder.on_run_end(self)
+        else:
+            with recorder.span("dram_drain"):
+                self._flush_dram()
+                self.memory.drain()
+            with recorder.span("result_assembly"):
+                result = self._collect_results()
+            recorder.on_run_end(self)
+        _FINISHED.add(self)
         return result
+
+    def _check_cores(self, chunk: TraceBuffer, index: int, source) -> None:
+        """Refuse a chunk naming a core outside ``[0, num_cores)``.
+
+        Without this a negative core silently runs on the last core and one
+        past the end dies deep in the interpreter with an ``IndexError``.
+        """
+        cores = chunk.core
+        num_cores = len(self.l1s)
+        if cores.min() >= 0 and cores.max() < num_cores:
+            return
+        row = int(((cores < 0) | (cores >= num_cores)).argmax())
+        path = getattr(source, "path", None)
+        origin = f"trace file {path}, " if path is not None else ""
+        raise ValueError(
+            f"{origin}chunk {index}, row {row}: core {cores[row]} is outside "
+            f"the simulated system's {num_cores} cores (0..{num_cores - 1})")
 
     def _cross_warmup_boundary(self, chunk, split: int, recorder, timing: bool,
                                clock, source) -> Optional[TraceBuffer]:
@@ -939,12 +990,7 @@ class ServerSystem:
 
     def _flush_hot_counters(self) -> None:
         """Fold the hoisted per-chunk counter ints into the StatGroup."""
-        counters = self.counters
-        for attr, key in _HOT_COUNTERS:
-            value = getattr(self, attr)
-            if value:
-                counters.inc(key, value)
-                setattr(self, attr, 0)
+        self.counters.fold(self, _HOT_COUNTERS)
 
     def begin_measurement(self) -> None:
         """Discard warmup statistics while keeping all architectural state."""
@@ -1071,8 +1117,9 @@ class ServerSystem:
         request = None
         if self.agents:
             noc.n_predictor_notify += 1
-            kind = LLCRequestKind.DEMAND_WRITE if is_store else LLCRequestKind.DEMAND_READ
-            request = LLCRequest(core, pc, block, kind, is_store)
+            request = LLCRequest(core, pc, block,
+                                 _LLC_DEMAND_WRITE if is_store else _LLC_DEMAND_READ,
+                                 is_store)
             for agent in self._access_agents:
                 bundle = agent.on_access(request, hit)
                 if bundle.fetch_blocks or bundle.writeback_blocks:

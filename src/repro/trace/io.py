@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, List, Mapping, Union
 
 import numpy as np
 
@@ -40,9 +40,36 @@ _NPY_SUFFIXES = {".npy"}
 
 TraceLike = Union[TraceBuffer, Iterable[Access]]
 
+#: Columns whose stored values must be non-negative.
+_NON_NEGATIVE = ("core", "instructions", "address")
+
 
 def _as_path(path: Union[str, Path]) -> Path:
     return path if isinstance(path, Path) else Path(path)
+
+
+def _negative_row_error(path: Path, row: int, name: str, value) -> ValueError:
+    return ValueError(
+        f"trace file {path}, row {row}: {name} is {value}; core, instructions "
+        "and address must be >= 0")
+
+
+def _check_rows(columns: Mapping[str, np.ndarray], path: Path) -> None:
+    """Refuse a negative core, instruction count or address, vectorized.
+
+    Runs on the columns as stored, before the casts to the canonical dtypes:
+    a negative core would otherwise index the last core, and a negative
+    address would wrap to a huge unsigned one.  ``min`` streams over a
+    memory-mapped column without a full-size temporary; only a bad file
+    pays for the mask that names the row.
+    """
+    for name in _NON_NEGATIVE:
+        column = columns.get(name)
+        if column is None or column.dtype.kind == "u" or not len(column):
+            continue
+        if column.min() < 0:
+            row = int((column < 0).argmax())
+            raise _negative_row_error(path, row, name, column[row])
 
 
 def save_trace(trace: TraceLike, path: Union[str, Path]) -> Path:
@@ -124,12 +151,15 @@ def _load_csv(path: Path) -> List[Access]:
             core, pc, address, kind, instructions = row
             if kind not in ("L", "S"):
                 raise ValueError(f"unknown access type {kind!r} in {path}")
+            fields = {"core": int(core), "instructions": int(instructions),
+                      "address": int(address, 0)}
+            for name in _NON_NEGATIVE:
+                if fields[name] < 0:
+                    raise _negative_row_error(path, len(trace), name, fields[name])
             trace.append(Access(
-                core=int(core),
                 pc=int(pc, 0),
-                address=int(address, 0),
                 type=AccessType.STORE if kind == "S" else AccessType.LOAD,
-                instructions=int(instructions),
+                **fields,
             ))
     return trace
 
@@ -147,7 +177,9 @@ def _load_npz(path: Path) -> TraceBuffer:
         missing = set(TRACE_FIELDS) - set(data.files)
         if missing:
             raise ValueError(f"trace file {path} is missing arrays: {sorted(missing)}")
-        return TraceBuffer(*(data[name] for name in TRACE_FIELDS))
+        columns = {name: data[name] for name in TRACE_FIELDS}
+    _check_rows(columns, path)
+    return TraceBuffer(**columns)
 
 
 # --------------------------------------------------------------------- #
@@ -161,4 +193,5 @@ def _load_npy(path: Path, mmap: bool = False) -> TraceBuffer:
     records = np.load(path, mmap_mode="r" if mmap else None, allow_pickle=False)
     if records.dtype.names is None:
         raise ValueError(f"trace file {path} does not hold structured records")
+    _check_rows({name: records[name] for name in records.dtype.names}, path)
     return TraceBuffer.from_structured(records)

@@ -127,7 +127,10 @@ class IngestSource(IteratorSource):
     :class:`~repro.trace.capture.LLCTraceRecorder` (or any tool emitting the
     ``trace/io`` formats) streams back through the simulator bit-for-bit.
     ``mmap=True`` replays structured ``.npy`` files without loading them
-    into memory.
+    into memory.  Rows are validated at load: a negative core, instruction
+    count or address raises ``ValueError`` naming the file and the row (a
+    core beyond the simulated system's is refused by ``ServerSystem.run``,
+    which knows the core count).
     """
 
     def __init__(self, path, chunk_size: int = DEFAULT_CHUNK_SIZE,

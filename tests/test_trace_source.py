@@ -8,6 +8,7 @@ and an externally stored trace file round-trips through
 capture -> export -> ingest path out of the LLC recorder.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.request import Access, AccessType
@@ -24,6 +25,8 @@ from repro.trace import (
     resume_source,
     save_trace,
 )
+from repro.sim.system import ServerSystem
+from repro.trace.buffer import TRACE_RECORD_DTYPE
 from repro.workloads.catalog import get_workload
 from repro.workloads.generator import generate_trace_buffer
 
@@ -122,6 +125,88 @@ class TestIngestSource:
         narrow = TraceBuffer.concat(drain(IngestSource(path, chunk_size=97)))
         wide = TraceBuffer.concat(drain(IngestSource(path, chunk_size=1900)))
         assert narrow == wide == buffer
+
+
+class TestIngestBoundary:
+    """Malformed rows fail at the boundary with the file, chunk and row."""
+
+    def _save_npy(self, tmp_path, dtype=TRACE_RECORD_DTYPE, **overrides):
+        """A 3000-row ``.npy`` trace whose row 2500 takes ``overrides``."""
+        buffer = small_buffer()
+        records = np.zeros(len(buffer), dtype=dtype)
+        for name in TRACE_RECORD_DTYPE.names:
+            records[name] = getattr(buffer, name)
+        for name, value in overrides.items():
+            records[name][2500] = value
+        path = tmp_path / "bad.npy"
+        np.save(path, records)
+        return path
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("name", ["core", "instructions"])
+    def test_negative_field_is_refused_at_load(self, tmp_path, name, mmap):
+        path = self._save_npy(tmp_path, **{name: -1})
+        with pytest.raises(ValueError, match=rf"bad\.npy, row 2500: {name} is -1"):
+            IngestSource(path, mmap=mmap)
+
+    def test_mmap_validation_allocates_no_full_size_temporary(self, tmp_path):
+        import tracemalloc
+
+        rows = 400_000
+        records = np.zeros(rows, dtype=TRACE_RECORD_DTYPE)
+        records["instructions"] = 1
+        path = tmp_path / "big.npy"
+        np.save(path, records)
+        tracemalloc.start()
+        try:
+            IngestSource(path, mmap=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A per-column ``column < 0`` mask alone would take ``rows`` bytes.
+        assert peak < rows // 2
+
+    def test_negative_address_is_refused_before_the_unsigned_cast(self, tmp_path):
+        signed = np.dtype([(name, np.int64 if name == "address"
+                            else TRACE_RECORD_DTYPE[name])
+                           for name in TRACE_RECORD_DTYPE.names])
+        path = self._save_npy(tmp_path, dtype=signed, address=-64)
+        with pytest.raises(ValueError, match=r"row 2500: address is -64"):
+            IngestSource(path)
+
+    def test_negative_core_in_npz_and_csv_is_refused(self, tmp_path):
+        buffer = small_buffer(100)
+        core = buffer.core.copy()
+        core[7] = -3
+        npz = tmp_path / "bad.npz"
+        np.savez(npz, **{name: getattr(buffer, name) for name in TRACE_RECORD_DTYPE.names
+                         if name != "core"}, core=core)
+        with pytest.raises(ValueError, match=r"bad\.npz, row 7: core is -3"):
+            IngestSource(npz)
+        csv = tmp_path / "bad.csv"
+        csv.write_text("0,0x40,0x1000,L,3\n0,0x40,0x1040,S,-2\n")
+        with pytest.raises(ValueError, match=r"bad\.csv, row 1: instructions is -2"):
+            IngestSource(csv)
+
+    def test_core_beyond_the_system_is_refused_once_per_chunk(self, tmp_path):
+        path = self._save_npy(tmp_path, core=4)
+        four_cores = base_open().with_overrides(
+            system=base_open().system.scaled(num_cores=4))
+        message = (r"bad\.npy, chunk 2, row 452: core 4 is outside the "
+                   r"simulated system's 4 cores")
+        with pytest.raises(ValueError, match=message):
+            ServerSystem(four_cores, workload_name="ingest").run(
+                IngestSource(path, chunk_size=1024))
+        # Sixteen cores have room for core 4: the same file runs.
+        result = ServerSystem(base_open(), workload_name="ingest").run(
+            IngestSource(path))
+        assert result.counters["accesses"] == 3000
+
+    def test_negative_core_of_an_in_memory_trace_is_refused(self):
+        buffer = small_buffer(100)
+        buffer.core[42] = -1
+        with pytest.raises(ValueError, match=r"^chunk 0, row 42: core -1 is outside"):
+            ServerSystem(base_open(), workload_name="memory").run(buffer)
 
 
 class TestResumeSource:
