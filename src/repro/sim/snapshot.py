@@ -78,6 +78,7 @@ __all__ = [
 #: v2: BuMP's tables are per-set dicts of plain lists, with int counters.
 SNAPSHOT_FORMAT_VERSION = 2
 
+
 def _check_format(version) -> None:
     if version != SNAPSHOT_FORMAT_VERSION:
         raise ValueError(

@@ -109,8 +109,7 @@ def reclaim_finished_systems(running: "ServerSystem") -> None:
 
     Called before a warmup, the point where a new system grows to its full
     footprint.  Survivors are reachable, so they are dropped from the watch
-    set: a caller holding finished systems pays for one collection, not one
-    per later run.
+    set: each finished system triggers at most one collection.
     """
     if any(system is not running for system in _FINISHED):
         gc.collect()
