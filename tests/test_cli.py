@@ -294,11 +294,6 @@ class TestFailurePaths:
             run_cli(capsys, "snapshot", "info", str(tmp_path / "gone.npz"))
         assert err.value.code not in (0, None)
 
-    def test_bad_interp_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, "run", "web_search", "--interp", "quantum")
-        assert err.value.code == 2  # argparse usage error
-
     def test_bad_cache_engine_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(capsys, "scenario", "run", "idle-cores",

@@ -7,23 +7,27 @@ Two acceptance bars live here:
   chunked columnar path produces a :class:`SimulationResult` *identical* --
   full content fingerprint, every counter -- to the legacy object-list path;
 * the flat-array cache engine: for the same matrix, the flat engine's fused
-  hot path produces results bit-identical to the legacy dict engine;
-* the vectorized batch interpreter (PR 7): for the same matrix again, the
-  two-pass vector interpreter produces results bit-identical to the fused
-  scalar row loop.
+  hot path produces results bit-identical to the legacy dict engine.
+
+It also pins the row loop's degenerate inputs: empty chunks and unbounded
+instruction-count variety.
 """
 
+import numpy as np
 import pytest
 
+from repro.common.addressing import BLOCK_BITS
 from repro.common.params import CacheParams, SystemParams
 from repro.exec.campaign import result_fingerprint
-from repro.sim.config import named_configs
+from repro.sim.config import base_open, named_configs
 from repro.sim.runner import (
     DEFAULT_SEED,
     build_trace,
     run_trace,
     run_workload_streaming,
 )
+from repro.sim.system import _CYCLE_CACHE_LIMIT, ServerSystem
+from repro.trace.buffer import TraceBuffer
 from repro.workloads.catalog import workload_names
 
 #: Scaled-down LLC so evictions and writebacks occur within a short trace.
@@ -70,20 +74,6 @@ def test_flat_engine_matches_dict_engine(workload):
             f"flat cache engine diverged from dict engine for {workload}/{name}")
 
 
-@pytest.mark.parametrize("workload", workload_names())
-def test_vector_interp_matches_scalar_interp(workload):
-    """Six workloads x all named paper configs: both interpreters bit-identical."""
-    trace = build_trace(workload, ACCESSES, num_cores=CORES, seed=DEFAULT_SEED)
-    for name, config in named_configs().items():
-        config = _small(config)
-        scalar = run_trace(trace, config, workload_name=workload,
-                           warmup_fraction=WARMUP, interp="scalar")
-        vector = run_trace(trace, config, workload_name=workload,
-                           warmup_fraction=WARMUP, interp="vector")
-        assert result_fingerprint(vector) == result_fingerprint(scalar), (
-            f"vector interpreter diverged from scalar for {workload}/{name}")
-
-
 def test_streaming_generation_matches_materialized_path():
     """Generator-chunk streaming equals cache-materialized simulation."""
     config = _small(named_configs(["bump"])["bump"])
@@ -117,3 +107,38 @@ def test_warmup_boundary_alignment_does_not_matter():
                             warmup_fraction=0.5, num_accesses=2_000)
         assert result_fingerprint(chunked) == result_fingerprint(reference), (
             f"divergence at chunk_size={chunk_size}")
+
+
+def test_zero_length_chunk_is_a_no_op():
+    system = ServerSystem(base_open())
+    before = result_fingerprint(system._collect_results())
+    system._run_chunk(TraceBuffer.empty())
+    assert result_fingerprint(system._collect_results()) == before
+
+
+def test_empty_chunks_in_a_stream_are_invisible():
+    trace = build_trace("web_search", 2_000, num_cores=4, seed=DEFAULT_SEED)
+    config = base_open()
+    whole = run_trace(trace, config)
+    chunks = []
+    for chunk in trace.iter_chunks(500):
+        chunks.extend([TraceBuffer.empty(), chunk, TraceBuffer.empty()])
+    padded = run_trace(chunks, config)
+    assert result_fingerprint(padded) == result_fingerprint(whole)
+
+
+def test_cycle_increment_cache_is_bounded():
+    accesses = 3 * _CYCLE_CACHE_LIMIT
+    rng = np.random.default_rng(5)
+    core = np.zeros(accesses, dtype=np.int32)
+    address = (rng.integers(0, 64, accesses).astype(np.uint64)
+               << np.uint64(BLOCK_BITS))
+    pc = np.full(accesses, 0x400000, dtype=np.uint64)
+    is_store = np.zeros(accesses, dtype=bool)
+    # Every row carries a distinct instruction count, so an unbounded memo
+    # would grow to ``accesses`` entries.
+    instructions = np.arange(1, accesses + 1, dtype=np.int32)
+    trace = TraceBuffer(core, pc, address, is_store, instructions)
+    system = ServerSystem(base_open())
+    system.run(trace)
+    assert len(system._cycle_increment_cache) <= _CYCLE_CACHE_LIMIT

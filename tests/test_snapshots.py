@@ -3,10 +3,10 @@
 The acceptance bar for ``repro.sim.snapshot`` is absolute: restoring a
 warmup snapshot and simulating the measured tail must produce the
 *identical* :class:`SimulationResult` (full fingerprint, every counter and
-energy figure) as an uninterrupted run -- across the cache x DRAM x
-interpreter engine cube, both DRAM page policies, any chunking of the
-stream, scenario mid-phase boundaries, and across process boundaries
-(snapshot written by one process, restored in another).
+energy figure) as an uninterrupted run -- across the cache x DRAM engine
+matrix, both DRAM page policies, any chunking of the stream, scenario
+mid-phase boundaries, and across process boundaries (snapshot written by
+one process, restored in another).
 """
 
 import os
@@ -86,35 +86,17 @@ def _warm_twice(config, store, **engines):
 class TestEngineCube:
     @pytest.mark.parametrize("cache_engine", ["flat", "dict"])
     @pytest.mark.parametrize("dram_engine", ["flat", "object"])
-    @pytest.mark.parametrize("interp", ["vector", "scalar"])
     def test_capture_restore_bit_identical(self, tmp_path, cache_engine,
-                                           dram_engine, interp):
+                                           dram_engine):
         config = _config()
-        engines = dict(cache_engine=cache_engine, dram_engine=dram_engine,
-                       interp=interp)
+        engines = dict(cache_engine=cache_engine, dram_engine=dram_engine)
         cold = _cold(config, **engines)
         captured, restored = _warm_twice(config, ArtifactStore(tmp_path),
                                          **engines)
         assert result_fingerprint(cold) == result_fingerprint(captured), (
-            f"{cache_engine}/{dram_engine}/{interp}: capture run diverged")
+            f"{cache_engine}/{dram_engine}: capture run diverged")
         assert result_fingerprint(cold) == result_fingerprint(restored), (
-            f"{cache_engine}/{dram_engine}/{interp}: restored run diverged")
-
-    def test_restore_interp_is_free_choice(self, tmp_path):
-        """The interpreter is not part of the snapshot: capture under the
-        vector interpreter, restore under the scalar one, same result."""
-        config = _config()
-        store = ArtifactStore(tmp_path)
-        key = snapshot_fingerprint(get_workload(WORKLOAD), config,
-                                   ACCESSES // 2, num_cores=CORES, seed=SEED)
-        run_trace(_trace(), config, workload_name=WORKLOAD,
-                  warmup_fraction=0.5, warmup_snapshot=store,
-                  snapshot_key=key, interp="vector")
-        restored = run_trace(_trace(), config, workload_name=WORKLOAD,
-                             warmup_fraction=0.5, warmup_snapshot=store,
-                             snapshot_key=key, interp="scalar")
-        cold = _cold(config, interp="scalar")
-        assert result_fingerprint(cold) == result_fingerprint(restored)
+            f"{cache_engine}/{dram_engine}: restored run diverged")
 
 
 class TestPagePolicies:
