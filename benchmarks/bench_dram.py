@@ -2,7 +2,8 @@
 
 Measures the flat DRAM engine (``repro.dram.flat``, the default) against the
 object engine (``repro.dram.system`` + per-request ``MemoryController``),
-which preserves the request-object memory system as an honest baseline.
+the request-object reference whose FR-FCFS queue scans its window on every
+pop.  Both engines take the same ``enqueue_block_batch`` intake.
 Results are bit-identical between the engines (asserted here and by the
 parity suite); only the speed differs.
 
@@ -47,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import __version__
-from repro.common.request import DRAMRequest, DRAMRequestKind
 from repro.dram.flat import FlatMemorySystem
 from repro.dram.system import MemorySystem
 from repro.exec.campaign import result_fingerprint
@@ -60,7 +60,6 @@ from repro.trace.buffer import TraceBuffer
 
 SEED = 42
 CORES = 16
-KINDS = list(DRAMRequestKind)
 REPLAY_BATCH = 4096
 
 
@@ -89,22 +88,21 @@ def synthetic_trace(accesses: int, footprint_bytes_per_core: int,
 def record_transfer_stream(trace: TraceBuffer, config) -> tuple:
     """Run one simulation and record every DRAM transfer it generates."""
     system = ServerSystem(config, workload_name="recorder", dram_engine="flat")
-    blocks: list = []
-    kinds: list = []
-    arrivals: list = []
+    columns: tuple = ([], [], [], [])
     original = system.memory.enqueue_block_batch
 
-    def recording(batch_blocks, batch_kinds, batch_arrivals):
-        blocks.extend(batch_blocks)
-        kinds.extend(batch_kinds)
-        arrivals.extend(batch_arrivals)
-        original(batch_blocks, batch_kinds, batch_arrivals)
+    def recording(*batch):
+        for column, values in zip(columns, batch):
+            column.extend(values)
+        original(*batch)
 
     system.memory.enqueue_block_batch = recording
     system.run(trace)
+    blocks, kinds, arrivals, cores = columns
     return (np.array(blocks, dtype=np.int64),
             np.array(kinds, dtype=np.int64),
             np.array(arrivals, dtype=np.float64),
+            np.array(cores, dtype=np.int64),
             config)
 
 
@@ -120,31 +118,24 @@ def _fresh_engines(config):
 
 def bench_replay(name: str, stream: tuple, repeats: int) -> dict:
     """Replay a recorded transfer stream through both engines in isolation."""
-    blocks, kinds, arrivals, config = stream
-    transfers = len(blocks)
-    blocks_list = blocks.tolist()
-    kinds_enum = [KINDS[k] for k in kinds.tolist()]
-    arrivals_list = arrivals.tolist()
+    *columns, config = stream
+    transfers = len(columns[0])
+    column_lists = [column.tolist() for column in columns]
 
     best = {"object": float("inf"), "flat": float("inf")}
     stats = {}
     for _ in range(repeats):
         obj, flat = _fresh_engines(config)
         start = time.perf_counter()
-        enqueue = obj.enqueue
-        for i in range(transfers):
-            enqueue(DRAMRequest(block_address=blocks_list[i],
-                                kind=kinds_enum[i],
-                                arrival_cycle=arrivals_list[i]))
+        obj.enqueue_block_batch(*column_lists)
         obj.drain()
         best["object"] = min(best["object"], time.perf_counter() - start)
         stats["object"] = obj.aggregate_stats().snapshot()
 
         start = time.perf_counter()
         for lo in range(0, transfers, REPLAY_BATCH):
-            flat.enqueue_block_batch(blocks[lo:lo + REPLAY_BATCH],
-                                     kinds[lo:lo + REPLAY_BATCH],
-                                     arrivals[lo:lo + REPLAY_BATCH])
+            flat.enqueue_block_batch(
+                *(column[lo:lo + REPLAY_BATCH] for column in columns))
         flat.drain()
         best["flat"] = min(best["flat"], time.perf_counter() - start)
         stats["flat"] = flat.aggregate_stats().snapshot()

@@ -16,10 +16,10 @@ with DRAMSim2.  This package provides the equivalent trace-driven model:
   the scheduler, and records row-buffer hits, per-request latency, bus
   occupancy and the command counts the energy model consumes.
 * :mod:`repro.dram.system` -- the full memory system (all channels) behind a
-  single ``enqueue``/``drain`` interface.
+  single ``enqueue_block_batch``/``drain`` interface.
 * :mod:`repro.dram.flat` -- the batch-vectorized flat-array engine: the same
   timing and scheduling semantics as controller + system, bit-identical
-  results, NumPy state arrays and a batched ``enqueue_block_batch`` intake.
+  results, NumPy state arrays and the same ``enqueue_block_batch`` intake.
 * :mod:`repro.dram.engine` -- engine selection (``REPRO_DRAM_ENGINE=flat``,
   the default, or ``object``; the object engine is the reference baseline).
 """

@@ -15,14 +15,19 @@ The controller supports the two page policies the paper compares: *open-row*
 (rows stay open after an access) and *close-row* (rows are precharged right
 after an access unless another queued request targets the same row).
 
-Counters are kept as plain attributes (this is the hottest part of the
-simulator) and exposed as a :class:`StatGroup` through the ``stats`` property.
+The transaction queue is any policy of :mod:`repro.dram.policies`; under
+the paper's FR-FCFS it is the window-scan :class:`FRFCFSQueue`.  Together
+with :class:`repro.dram.system.MemorySystem` this is the object DRAM
+engine: the independent reference for the flat engine
+(:mod:`repro.dram.flat`) and the host of the ablation schedulers.
+Counters are kept as plain attributes and exposed as a :class:`StatGroup`
+through the ``stats`` property.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.params import DDR3Timing, DRAMOrganization
 from repro.common.request import DRAMRequest, DRAMRequestKind, KIND_IS_READ
@@ -49,7 +54,6 @@ class MemoryController:
     def __init__(self, channel_id: int, timing: DDR3Timing, org: DRAMOrganization,
                  mapping: AddressMapping, page_policy: PagePolicy = PagePolicy.OPEN,
                  window: int = 64, scheduler: str = "frfcfs",
-                 fast_scheduler: bool = True,
                  record_completed: bool = True) -> None:
         self.channel_id = channel_id
         self.timing = timing
@@ -81,15 +85,6 @@ class MemoryController:
         self._open_keys: set = set()
         self._open_key_of_bank = [None] * len(self._bank_list)
         self._close_policy = page_policy is PagePolicy.CLOSE
-        #: With ``fast_scheduler`` FR-FCFS maintains per-row readiness
-        #: incrementally (the controller reports every bank state change and
-        #: the queue never scans).  Without it the queue runs the legacy
-        #: window scan -- selected by the dict cache engine so the benchmark
-        #: baseline preserves the pre-overhaul core end to end.  Both paths
-        #: make identical scheduling decisions.
-        self._queue_tracks_rows = fast_scheduler and isinstance(self.queue, FRFCFSQueue)
-        if self._queue_tracks_rows:
-            self.queue.track_open_rows(self._open_keys)
         self._drain_threshold = 2 * self.queue.window
         #: Cycle at which the shared data bus becomes free.
         self.bus_free_cycle = 0.0
@@ -153,20 +148,8 @@ class MemoryController:
         queue, the controller drains eagerly once twice the scheduling window
         is pending.
         """
-        coords = self.mapping.map(request.block_address)
         queue = self.queue
-        if self._queue_tracks_rows:
-            rank = coords[1]
-            bank = coords[2]
-            row = coords[3]
-            # row_state_key inlined (rank/bank always fit the packed form for
-            # real organisations; the generic push handles the rest).
-            if rank < 64 and bank < 64:
-                queue.push_entry(request, coords, (row << 12) | (rank << 6) | bank)
-            else:
-                queue.push(request, coords)
-        else:
-            queue.push(request, coords)
+        queue.push(request, self.mapping.map(request.block_address))
         if len(queue) >= self._drain_threshold:
             self._drain(queue.window)
 
@@ -185,14 +168,6 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     def _drain(self, count: int) -> None:
         queue = self.queue
-        if self._queue_tracks_rows:
-            serve = self._serve_core
-            for _ in range(count):
-                entry = queue.pop_entry()
-                if entry is None:
-                    return
-                serve(entry[1], entry[2], entry[3])
-            return
         for _ in range(count):
             entry = queue.pop_next(self._open_keys)
             if entry is None:
@@ -200,11 +175,6 @@ class MemoryController:
             self._serve(*entry)
 
     def _serve(self, request: DRAMRequest, coords: DRAMCoordinates) -> None:
-        self._serve_core(request, coords,
-                         row_state_key(coords.rank, coords.bank, coords.row))
-
-    def _serve_core(self, request: DRAMRequest, coords: DRAMCoordinates,
-                    key) -> None:
         _channel, rank, bank_index, row, _column = coords
         flat_bank = rank * self._banks_per_rank + bank_index
         bank = self._bank_list[flat_bank]
@@ -222,24 +192,13 @@ class MemoryController:
         )
         open_row = bank.open_row
         old_key = self._open_key_of_bank[flat_bank]
-        # After an open-row access the bank holds exactly the served row, so
-        # the entry's own key is reused instead of repacking it.
-        if open_row is None:
-            new_key = None
-        elif open_row == row:
-            new_key = key
-        else:
-            new_key = row_state_key(rank, bank_index, open_row)
+        new_key = (None if open_row is None
+                   else row_state_key(rank, bank_index, open_row))
         if new_key != old_key:
-            tracking = self._queue_tracks_rows
             if old_key is not None:
                 self._open_keys.discard(old_key)
-                if tracking:
-                    self.queue.note_row_closed(old_key)
             if new_key is not None:
                 self._open_keys.add(new_key)
-                if tracking:
-                    self.queue.note_row_opened(new_key)
             self._open_key_of_bank[flat_bank] = new_key
 
         burst = self.timing.burst_cycles

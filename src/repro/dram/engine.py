@@ -6,15 +6,20 @@ for every workload, named configuration and catalog scenario):
 
 ``flat`` (default)
     :class:`repro.dram.flat.FlatMemorySystem` -- preallocated NumPy
-    per-(channel, bank) state, flat ring-buffer transaction queues with the
-    incremental FR-FCFS bucket scheme, and a batched
-    ``enqueue_block_batch`` intake consuming whole per-chunk miss arrays.
+    per-(channel, bank) state and flat ring-buffer transaction queues
+    carrying the repository's only incremental FR-FCFS.
 
 ``object``
     :class:`repro.dram.system.MemorySystem` driving per-channel
     :class:`repro.dram.controller.MemoryController` instances -- the
-    original request-object model, kept as the reference baseline the same
-    way the cache layer kept its dict engine (:mod:`repro.cache.engine`).
+    request-object model whose FR-FCFS queue scans its window on every pop
+    (:mod:`repro.dram.scheduler`).  It is the reference the flat engine is
+    checked against, the way the cache layer keeps its dict engine
+    (:mod:`repro.cache.engine`), and hosts the ablation schedulers.
+
+Both take the same batched intake, ``enqueue_block_batch(blocks, kinds,
+arrivals, cores)``, so the simulator stages DRAM transfers one way whichever
+engine it drives.
 
 Select globally with the ``REPRO_DRAM_ENGINE`` environment variable or per
 run via the ``dram_engine`` argument of
@@ -25,10 +30,9 @@ The flat engine covers the configuration space of the paper's evaluation:
 FR-FCFS scheduling and DRAM organisations whose rank/bank counts fit the
 packed row-state key.  :func:`resolve_dram_engine` transparently falls back
 to the object engine outside that space (the ablation-only scheduling
-policies of :mod:`repro.dram.policies`, oversized organisations), mirroring
-how the cache layer's fast scheduler only engages for ``FRFCFSQueue``.
-Results are bit-identical either way, so the fallback is a speed decision,
-never a fidelity one.
+policies of :mod:`repro.dram.policies`, oversized organisations).  Results
+are bit-identical either way, so the fallback is a speed decision, never a
+fidelity one.
 """
 
 from __future__ import annotations

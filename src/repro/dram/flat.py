@@ -13,10 +13,12 @@ configuration and catalog scenario -- only the speed differs.
 Three structural changes carry the speedup:
 
 1. **Batched intake.**  ``enqueue_block_batch`` accepts whole per-chunk
-   arrays of (block address, kind code, arrival cycle) triples.  Channel
-   routing and full DRAM-coordinate decode (rank/bank/row plus the packed
-   row-state key of :func:`repro.dram.scheduler.row_state_key`) run as a few
-   NumPy vector operations over the batch, instead of one
+   arrays of (block address, kind code, arrival cycle, core) transfers,
+   the intake both engines share; this one ignores the core, which
+   FR-FCFS never reads.  Channel routing and full DRAM-coordinate decode
+   (rank/bank/row plus the packed row-state key of
+   :func:`repro.dram.scheduler.row_state_key`) run as a few NumPy vector
+   operations over the batch, instead of one
    ``DRAMRequest`` allocation, one ``AddressMapping.map`` call and one
    ``DRAMCoordinates`` tuple per transfer.  Batching is exact, not
    approximate: FR-FCFS decisions only ever inspect the oldest ``window``
@@ -30,13 +32,17 @@ Three structural changes carry the speedup:
    numbers) with a head cursor: front pops -- the overwhelmingly common case
    for the row-locality-poor streams the paper studies -- advance the cursor
    in O(1) and the dead prefix is compacted away periodically, so no
-   per-pop memmove is paid.  On top of the ring sits the incremental
-   FR-FCFS bucket scheme ported from :class:`repro.dram.scheduler.FRFCFSQueue`:
-   per-row FIFO buckets, a ready view holding exactly the buckets whose row
-   is open, and a FIFO of demand entries.  Buckets store a bare ``int`` seq
-   while they hold a single entry (almost always, for these streams) and
-   are promoted to a list only on the second same-row arrival, so the
-   common push allocates nothing.
+   per-pop memmove is paid.  On top of the ring sits the repository's only
+   incremental FR-FCFS: per-row FIFO buckets, a ready view holding exactly
+   the buckets whose row is open, and a FIFO of demand entries, so a pop
+   inspects the handful of ready buckets instead of scanning the window.
+   It makes the decisions of the window scan in
+   :class:`repro.dram.scheduler.FRFCFSQueue`, the object engine's queue and
+   this engine's reference: oldest row hit in the window, else oldest
+   demand in the window, else the oldest request.  Buckets store a bare
+   ``int`` seq while they hold a single entry (almost always, for these
+   streams) and are promoted to a list only on the second same-row arrival,
+   so the common push allocates nothing.
 
 3. **Preallocated NumPy state, scalar hot loop.**  Open-row ids, per-bank
    ready/activate timestamps, per-channel bus/completion cycles and every
@@ -257,16 +263,19 @@ class FlatMemorySystem:
         """
         self.enqueue_block_batch(
             [request.block_address], [request.kind.code],
-            [request.arrival_cycle])
+            [request.arrival_cycle], [request.core])
 
     def enqueue_block_batch(self, block_addresses, kind_codes,
-                            arrival_cycles) -> None:
+                            arrival_cycles, cores) -> None:
         """Queue a whole batch of block transfers, in arrival order.
 
         ``block_addresses`` are block-aligned physical addresses,
-        ``kind_codes`` the :class:`DRAMRequestKind` ``code`` integers and
-        ``arrival_cycles`` the arrival timestamps in memory-bus cycles; the
-        three sequences (lists or NumPy arrays) are parallel.  Channel
+        ``kind_codes`` the :class:`DRAMRequestKind` ``code`` integers,
+        ``arrival_cycles`` the arrival timestamps in memory-bus cycles and
+        ``cores`` the issuing cores; the four sequences (lists or NumPy
+        arrays) are parallel.  ``cores`` is accepted for the intake shared
+        with :class:`repro.dram.system.MemorySystem` and ignored: FR-FCFS
+        never reads the issuing core.  Channel
         routing, coordinate decode and row-state-key packing run vectorized
         over the batch; each channel then absorbs its requests in order,
         serving a window's worth whenever twice the scheduling window is

@@ -1,4 +1,4 @@
-"""FR-FCFS transaction scheduling.
+"""FR-FCFS transaction scheduling: the window-scan reference.
 
 The memory controllers in the paper use First-Ready, First-Come-First-Served
 scheduling [Rixner et al., ISCA 2000]: among the requests in the transaction
@@ -10,39 +10,18 @@ more than the window in the arrival stream cannot be merged into row hits --
 the effect Section II.C of the paper identifies as the reason row-buffer
 locality goes unexploited in server CMPs.
 
-Selecting the next transaction used to scan the whole window per pop -- the
-hottest loop of the simulator.  The queue now keeps the scan's outcome
-incrementally instead:
-
-* every pending entry precomputes a combined (row, rank, bank) key and its
-  demand-criticality flag at push time;
-* per-key FIFO buckets (``_by_key``) group same-row entries, and a ``_ready``
-  dict holds exactly the buckets whose row is currently open -- maintained by
-  the owning controller through :meth:`note_row_opened` /
-  :meth:`note_row_closed` after each bank state change;
-* a FIFO of demand entries supplies the oldest-demand fallback.
-
-``pop_next`` then inspects at most the handful of ready buckets (usually
-none for the row-locality-poor streams the paper studies) instead of up to
-64 queue slots.  The classic window scan is retained verbatim as the
-reference path and is used whenever the caller passes its own open-row state
-(as the unit tests do); a property test asserts both paths make identical
-decisions.  Scheduling semantics are unchanged either way: oldest row hit in
-the window, else oldest demand in the window, else the oldest request.
-
-The flat DRAM engine (:mod:`repro.dram.flat`) ports this same bucket scheme
-into its fused drain loop (ring-buffer pending lists, singleton-int
-buckets, window membership tested against the fence seq instead of a
-bisect).  When changing scheduling semantics here, update
-``FlatMemorySystem._drain_channel`` in lockstep -- the engine parity suite
-will catch a divergence on any workload, but keeping the two readable side
-by side is what keeps that cheap.
+:class:`FRFCFSQueue` states that policy as directly as possible: each pop
+scans the window oldest-first and takes the first row hit, else the oldest
+demand request, else the oldest request.  It is the object engine's queue
+and the independent reference the flat engine (:mod:`repro.dram.flat`) is
+checked against; the flat engine keeps the same decisions incrementally
+(per-row buckets and a ready view of the open rows) so that it never scans.
+The engine parity suite and the golden fingerprints hold the two to
+identical results.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
 from typing import List, Optional, Tuple, Union
 
 from repro.common.request import DRAMRequest, KIND_IS_DEMAND
@@ -83,22 +62,8 @@ class FRFCFSQueue:
         if window < 1:
             raise ValueError("scheduling window must hold at least one request")
         self.window = window
-        #: Entries oldest-first: (seq, request, coords, row_state_key, is_demand).
+        #: Entries oldest-first: (request, coords, row_state_key, is_demand).
         self._pending: List[tuple] = []
-        #: Arrival sequence numbers of ``_pending``, kept parallel for bisect.
-        self._seqs: List[int] = []
-        self._next_seq = 0
-        #: row_state_key -> FIFO of seqs pending for that exact row.
-        self._by_key: dict = {}
-        #: Subset of ``_by_key`` whose row is currently open (same deque
-        #: objects; buckets in here are never empty).
-        self._ready: dict = {}
-        #: FIFO of seqs of demand (latency-critical) entries.
-        self._demand: deque = deque()
-        #: The owning controller's open-row key set.  When ``pop_next``
-        #: receives this very object the incrementally-maintained state is
-        #: trusted; any other argument goes through the reference scan.
-        self._open_ref: Optional[set] = None
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -106,156 +71,44 @@ class FRFCFSQueue:
     @property
     def pending(self) -> List[PendingEntry]:
         """The queued requests, oldest first (read-only view for tests)."""
-        return [(entry[1], entry[2]) for entry in self._pending]
-
-    def track_open_rows(self, open_keys: set) -> None:
-        """Bind the controller's open-row key set for incremental scheduling.
-
-        The controller must subsequently report every bank state change via
-        :meth:`note_row_opened` / :meth:`note_row_closed` (it mutates
-        ``open_keys`` in place, so pushes observe the current state too).
-        """
-        self._open_ref = open_keys
-        # Rebuild the ready view in case entries are already queued.
-        self._ready = {
-            key: bucket for key, bucket in self._by_key.items() if key in open_keys
-        }
-
-    def note_row_opened(self, key) -> None:
-        """A bank opened ``key``'s row: its pending entries become row hits."""
-        bucket = self._by_key.get(key)
-        if bucket is not None:
-            self._ready[key] = bucket
-
-    def note_row_closed(self, key) -> None:
-        """A bank closed ``key``'s row: its pending entries lose readiness."""
-        self._ready.pop(key, None)
+        return [(entry[0], entry[1]) for entry in self._pending]
 
     def push(self, request: DRAMRequest, coords: DRAMCoordinates) -> None:
         """Append a request to the tail of the queue."""
-        rank = coords.rank
-        bank = coords.bank
-        # row_state_key inlined: push runs once per DRAM transfer.
-        if 0 <= rank < _PACK_LIMIT and 0 <= bank < _PACK_LIMIT:
-            key = (coords.row << 12) | (rank << 6) | bank
-        else:
-            key = (coords.row, rank, bank)
-        self.push_entry(request, coords, key)
-
-    def push_entry(self, request: DRAMRequest, coords, key) -> None:
-        """Append a request with its precomputed row-state key (fast path)."""
-        is_demand = KIND_IS_DEMAND[request.kind.code]
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self._pending.append((seq, request, coords, key, is_demand))
-        self._seqs.append(seq)
-        bucket = self._by_key.get(key)
-        if bucket is None:
-            bucket = self._by_key[key] = deque()
-        bucket.append(seq)
-        if is_demand:
-            self._demand.append(seq)
-        open_ref = self._open_ref
-        if open_ref is not None and key in open_ref:
-            self._ready[key] = bucket
+        self._pending.append((
+            request, coords, row_state_key(coords.rank, coords.bank, coords.row),
+            KIND_IS_DEMAND[request.kind.code]))
 
     def pop_next(self, open_rows: Union[set, dict]) -> Optional[PendingEntry]:
         """Remove and return the next request to serve under FR-FCFS.
 
         ``open_rows`` describes the rows currently open across the channel's
-        banks: the controller passes the tracked key set (fast incremental
-        path); anything else -- a ``(rank, bank) -> row-or-None`` mapping or
-        an ad-hoc key set -- is handled by the reference window scan.
-        Within the scheduling window the oldest row-hit request wins; when no
-        queued request would hit, the oldest *demand* request wins (demand
-        reads and writebacks are latency-critical, while prefetches and bulk
-        transfers can tolerate extra queueing); with neither, the oldest
-        request wins.  Returns ``None`` when the queue is empty.
+        banks: a set of :func:`row_state_key` keys or a
+        ``(rank, bank) -> row-or-None`` mapping.  Within the scheduling
+        window the oldest row-hit request wins; when no queued request would
+        hit, the oldest *demand* request wins (demand reads and writebacks
+        are latency-critical, while prefetches and bulk transfers can
+        tolerate extra queueing); with neither, the oldest request wins.
+        Returns ``None`` when the queue is empty.
         """
         pending = self._pending
         if not pending:
             return None
-        if open_rows is not self._open_ref:
-            return self._pop_next_scan(open_rows)
-        entry = self.pop_entry()
-        return (entry[1], entry[2])
-
-    def pop_entry(self) -> Optional[tuple]:
-        """Fast-path pop: return the full chosen entry under tracked row state.
-
-        Only valid after :meth:`track_open_rows`; the owning controller calls
-        this directly so the serve path can reuse the entry's precomputed
-        row-state key.  Entry layout: (seq, request, coords, key, is_demand).
-        """
-        pending = self._pending
-        if not pending:
-            return None
-        limit = self.window if self.window < len(pending) else len(pending)
-        chosen = -1
-        ready = self._ready
-        if ready:
-            best_seq = -1
-            for bucket in ready.values():
-                seq = bucket[0]
-                if best_seq < 0 or seq < best_seq:
-                    best_seq = seq
-            index = bisect_left(self._seqs, best_seq)
-            if index < limit:
-                chosen = index
-        if chosen < 0:
-            demand = self._demand
-            if demand:
-                index = bisect_left(self._seqs, demand[0])
-                if index < limit:
-                    chosen = index
-            if chosen < 0:
-                chosen = 0
-        return self._pop_entry_at(chosen)
-
-    def _pop_next_scan(self, open_rows) -> PendingEntry:
-        """Reference implementation: scan the window, oldest-first."""
         open_set = open_rows if type(open_rows) is set else open_row_key_set(open_rows)
-        pending = self._pending
         limit = self.window if self.window < len(pending) else len(pending)
         chosen = -1
         oldest_demand = -1
         for index in range(limit):
             entry = pending[index]
-            if entry[3] in open_set:
+            if entry[2] in open_set:
                 chosen = index
                 break
-            if oldest_demand < 0 and entry[4]:
+            if oldest_demand < 0 and entry[3]:
                 oldest_demand = index
         if chosen < 0:
             chosen = oldest_demand if oldest_demand >= 0 else 0
-        return self._pop_at(chosen)
-
-    def _pop_at(self, index: int) -> PendingEntry:
-        """Remove the entry at ``index`` and return its ``(request, coords)``."""
-        entry = self._pop_entry_at(index)
-        return (entry[1], entry[2])
-
-    def _pop_entry_at(self, index: int) -> tuple:
-        """Remove the entry at ``index`` and retire it from every structure."""
-        entry = self._pending.pop(index)
-        seq = entry[0]
-        key = entry[3]
-        del self._seqs[index]
-        bucket = self._by_key[key]
-        if bucket[0] == seq:
-            bucket.popleft()
-        else:
-            bucket.remove(seq)
-        if not bucket:
-            del self._by_key[key]
-            self._ready.pop(key, None)
-        if entry[4]:
-            demand = self._demand
-            if demand[0] == seq:
-                demand.popleft()
-            else:
-                demand.remove(seq)
-        return entry
+        entry = pending.pop(chosen)
+        return (entry[0], entry[1])
 
     def any_pending_for_row(self, coords: DRAMCoordinates) -> bool:
         """True when another queued request (within the window) targets the same row.
@@ -265,8 +118,4 @@ class FRFCFSQueue:
         hits it can see).
         """
         key = row_state_key(coords.rank, coords.bank, coords.row)
-        bucket = self._by_key.get(key)
-        if not bucket:
-            return False
-        limit = self.window if self.window < len(self._pending) else len(self._pending)
-        return bisect_left(self._seqs, bucket[0]) < limit
+        return any(entry[2] == key for entry in self._pending[:self.window])

@@ -1,10 +1,13 @@
 """The complete main-memory system: all channels behind one interface.
 
-The system model pushes block transfers here; the memory system routes each
-to the controller of its channel (per the active interleaving scheme), and at
-the end of a simulation aggregates row-buffer statistics, per-kind traffic
-counts, latency and bus-occupancy figures across channels.  The energy model
-(:mod:`repro.energy.dram_energy`) consumes those aggregates.
+The system model hands block transfers here, one chunk's worth at a time
+through :meth:`MemorySystem.enqueue_block_batch` -- the same intake the flat
+engine (:mod:`repro.dram.flat`) offers, so the simulator stages transfers
+one way whichever engine it drives.  The memory system routes each transfer
+to the controller of its channel (per the active interleaving scheme), and
+at the end of a simulation aggregates row-buffer statistics, per-kind
+traffic counts, latency and bus-occupancy figures across channels.  The
+energy model (:mod:`repro.energy.dram_energy`) consumes those aggregates.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from repro.common.stats import StatGroup
 from repro.dram.address_mapping import AddressMapping
 from repro.dram.controller import MemoryController, PagePolicy
 
+#: Kinds in ``code`` order, for rebuilding request kinds from batch codes.
+_KINDS_BY_CODE = tuple(DRAMRequestKind)
+
 
 class MemorySystem:
     """All DDR3 channels of the simulated server."""
@@ -25,7 +31,6 @@ class MemorySystem:
     def __init__(self, timing: DDR3Timing, org: DRAMOrganization,
                  mapping: AddressMapping, page_policy: PagePolicy = PagePolicy.OPEN,
                  window: int = 64, scheduler: str = "frfcfs",
-                 fast_scheduler: bool = True,
                  record_completed: bool = True) -> None:
         self.timing = timing
         self.org = org
@@ -34,8 +39,7 @@ class MemorySystem:
         self.scheduler = scheduler
         self.controllers = [
             MemoryController(channel, timing, org, mapping, page_policy, window,
-                             scheduler=scheduler, fast_scheduler=fast_scheduler,
-                             record_completed=record_completed)
+                             scheduler=scheduler, record_completed=record_completed)
             for channel in range(org.channels)
         ]
         # Block -> channel routing reduced to one shift and one mask, so the
@@ -52,6 +56,23 @@ class MemorySystem:
         channel = (request.block_address >> self._channel_shift) & self._channel_mask
         self.controllers[channel].enqueue(request)
 
+    def enqueue_block_batch(self, block_addresses, kind_codes, arrival_cycles,
+                            cores) -> None:
+        """Queue a batch of block transfers, in arrival order.
+
+        The four sequences are parallel: block-aligned addresses,
+        :class:`DRAMRequestKind` ``code`` integers, arrival timestamps in
+        memory-bus cycles and issuing cores.  Each transfer becomes one
+        :class:`DRAMRequest` passed to :meth:`enqueue`, so a batch behaves
+        exactly like the same requests enqueued one by one.  The core is
+        required: the bank round-robin scheduler rotates on it.
+        """
+        enqueue = self.enqueue
+        for block, code, arrival, core in zip(block_addresses, kind_codes,
+                                              arrival_cycles, cores):
+            enqueue(DRAMRequest(int(block), _KINDS_BY_CODE[code], int(core),
+                                arrival_cycle=float(arrival)))
+
     def channel_of(self, block_address: int) -> int:
         """Channel index serving ``block_address`` under the active mapping."""
         return (block_address >> self._channel_shift) & self._channel_mask
@@ -67,6 +88,10 @@ class MemorySystem:
         for controller in self.controllers:
             completed.extend(controller.drain())
         return completed
+
+    def pending_count(self) -> int:
+        """Number of queued-but-unserved transfers across all channels."""
+        return sum(len(controller.queue) for controller in self.controllers)
 
     # ------------------------------------------------------------------ #
     # Aggregated metrics

@@ -75,7 +75,9 @@ __all__ = [
 #: other versions (the fingerprint additionally carries the package version,
 #: so stale-but-loadable snapshots never match a fresh fingerprint either).
 #: v2: BuMP's tables are per-set dicts of plain lists, with int counters.
-SNAPSHOT_FORMAT_VERSION = 2
+#: v3: the object DRAM engine's FR-FCFS queue holds only its window-scan
+#: entries (no ready-tracking state).
+SNAPSHOT_FORMAT_VERSION = 3
 
 
 def _check_format(version) -> None:

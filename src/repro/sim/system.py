@@ -40,7 +40,6 @@ from repro.cache.llc import LastLevelCache
 from repro.cache.set_assoc import EvictedLine
 from repro.common.addressing import BLOCK_BITS, block_address
 from repro.common.request import (
-    DRAMRequest,
     DRAMRequestKind,
     LLCRequest,
     LLCRequestKind,
@@ -86,7 +85,7 @@ _HOT_COUNTERS = (
     ("_h_eager_writebacks", "eager_writebacks"),
 )
 
-#: DRAM request-kind codes, hoisted for the buffered flat-engine issue path.
+#: DRAM request-kind codes, hoisted for the staged DRAM issue sites.
 _DEMAND_READ_CODE = DRAMRequestKind.DEMAND_READ.code
 _DEMAND_WRITEBACK_CODE = DRAMRequestKind.DEMAND_WRITEBACK.code
 #: LLC request kinds, hoisted: an enum member lookup costs ~0.1 us per access.
@@ -197,8 +196,7 @@ class ServerSystem:
         # the object engine outside it; results are bit-identical either way.
         self.dram_engine = resolve_dram_engine(
             dram_engine, scheduler=config.scheduler, org=params.dram_org)
-        self._flat_dram = self.dram_engine == "flat"
-        if self._flat_dram:
+        if self.dram_engine == "flat":
             self.memory = FlatMemorySystem(
                 params.dram_timing, params.dram_org, mapping,
                 config.page_policy,
@@ -209,20 +207,20 @@ class ServerSystem:
                 params.dram_timing, params.dram_org, mapping, config.page_policy,
                 window=params.dram_org.transaction_queue_entries,
                 scheduler=config.scheduler,
-                fast_scheduler=self._flat_engine,
                 # Every measurement folds into scalar counters at serve time;
                 # retaining one request object per transfer would grow memory
                 # linearly with trace length and break the streaming paths'
                 # bounded-footprint promise.
                 record_completed=False,
             )
-        # Staged per-chunk DRAM transfers (flat engine): the fast paths
-        # append (block, kind code, arrival) scalars here and ``_flush_dram``
+        # Staged per-chunk DRAM transfers: every issue site appends
+        # (block, kind code, arrival, core) scalars here and ``_flush_dram``
         # hands the memory system the whole batch at chunk boundaries --
-        # no DRAMRequest object is ever built on the hot path.
+        # the simulator never builds a DRAMRequest itself.
         self._dram_blocks: list = []
         self._dram_kinds: list = []
         self._dram_arrivals: list = []
+        self._dram_cores: list = []
 
         self.agents: List[LLCAgent] = []
         self.bump: Optional[BuMPPredictor] = None
@@ -462,17 +460,12 @@ class ServerSystem:
         self._flush_hot_counters()
         memory = self.memory
         stats = memory.aggregate_stats()
-        pending = getattr(memory, "pending_count", None)
-        if pending is not None:
-            queue_depth = int(pending())
-        else:
-            queue_depth = sum(len(c.queue) for c in memory.controllers)
         return FeedbackSample(
             accesses=int(accesses),
             core_cycle=float(self._core_cycle),
             demand_reads=int(stats["demand_reads"]),
             read_latency_cycles=float(stats["demand_read_latency_cycles"]),
-            queue_depth=queue_depth,
+            queue_depth=int(memory.pending_count()),
             llc_misses=int(self.counters["llc_misses"]),
         )
 
@@ -503,23 +496,23 @@ class ServerSystem:
     def _flush_dram(self) -> None:
         """Hand the staged per-chunk DRAM transfers to the memory system.
 
-        Under the flat DRAM engine every ``_issue_dram`` site appends plain
-        (block, kind code, arrival cycle) scalars to the staging lists; this
-        flush routes the whole batch through
-        :meth:`repro.dram.flat.FlatMemorySystem.enqueue_block_batch` at chunk
-        boundaries.  FR-FCFS only ever inspects the oldest window of each
-        channel's queue and the batch preserves per-channel arrival order,
-        so serving at batch boundaries is cycle-identical to the object
-        engine's per-request enqueue (see :mod:`repro.dram.flat`).  No-op
-        for the object engine (the staging lists stay empty).
+        Every DRAM issue site appends plain (block, kind code, arrival
+        cycle, core) scalars to the staging lists; this flush passes the
+        whole batch to the memory system's ``enqueue_block_batch`` at chunk
+        boundaries, on either engine.  The batch keeps the issue order and
+        the arrival stamps, so the memory system sees exactly the enqueue
+        sequence it would have seen one transfer at a time; nothing reads
+        DRAM state in the middle of a chunk.
         """
         blocks = self._dram_blocks
         if blocks:
             self.memory.enqueue_block_batch(blocks, self._dram_kinds,
-                                            self._dram_arrivals)
+                                            self._dram_arrivals,
+                                            self._dram_cores)
             self._dram_blocks = []
             self._dram_kinds = []
             self._dram_arrivals = []
+            self._dram_cores = []
 
     def _run_chunk_flat(self, chunk: TraceBuffer) -> None:
         """Fused row loop over the flat-array caches.
@@ -708,7 +701,7 @@ class ServerSystem:
             counters.inc("llc_misses")
             for agent in self.agents:
                 actions.merge(agent.on_miss(request))
-            self._issue_dram(block, DRAMRequestKind.DEMAND_READ, core, pc)
+            self._issue_dram(block, DRAMRequestKind.DEMAND_READ, core)
             counters.inc("demand_reads")
             if is_store:
                 counters.inc("store_triggered_reads")
@@ -779,14 +772,12 @@ class ServerSystem:
                         actions = bundle
                     else:
                         actions.merge(bundle)
-            if self._flat_dram:
-                # Inlined _issue_dram: stage the demand read for the batched
-                # flush without a call frame or a DRAMRequest allocation.
-                self._dram_blocks.append(block)
-                self._dram_kinds.append(_DEMAND_READ_CODE)
-                self._dram_arrivals.append(self._arrival_bus)
-            else:
-                self._issue_dram(block, DRAMRequestKind.DEMAND_READ, core, pc)
+            # Inlined _issue_dram: stage the demand read for the batched
+            # flush without a call frame.
+            self._dram_blocks.append(block)
+            self._dram_kinds.append(_DEMAND_READ_CODE)
+            self._dram_arrivals.append(self._arrival_bus)
+            self._dram_cores.append(core)
             self._h_demand_reads += 1
             if is_store:
                 self._h_store_triggered_reads += 1
@@ -831,7 +822,7 @@ class ServerSystem:
         if victim.dirty:
             counters.inc("demand_writebacks")
             self._issue_dram(victim.block_address, DRAMRequestKind.DEMAND_WRITEBACK,
-                             victim.core, victim.pc)
+                             victim.core)
             self.noc.send(MessageType.DATA)
         if victim.prefetched and not victim.used:
             counters.inc("overfetch_evictions")
@@ -853,14 +844,10 @@ class ServerSystem:
 
         if victim.dirty:
             self._h_demand_writebacks += 1
-            if self._flat_dram:
-                self._dram_blocks.append(victim.block_address)
-                self._dram_kinds.append(_DEMAND_WRITEBACK_CODE)
-                self._dram_arrivals.append(self._arrival_bus)
-            else:
-                self._issue_dram(victim.block_address,
-                                 DRAMRequestKind.DEMAND_WRITEBACK,
-                                 victim.core, victim.pc)
+            self._dram_blocks.append(victim.block_address)
+            self._dram_kinds.append(_DEMAND_WRITEBACK_CODE)
+            self._dram_arrivals.append(self._arrival_bus)
+            self._dram_cores.append(victim.core)
             self.noc.n_data += 1
         if victim.prefetched and not victim.used:
             self._h_overfetch_evictions += 1
@@ -882,7 +869,7 @@ class ServerSystem:
                 if block < 0 or self.llc.contains(block):
                     continue
                 self.noc.send(MessageType.GENERATED_REQUEST)
-                self._issue_dram(block, kind, core, pc)
+                self._issue_dram(block, kind, core)
                 counters.inc(counter)
                 victim = self.llc.fill(block, prefetched=True, pc=pc, core=core)
                 self.noc.send(MessageType.DATA)
@@ -898,7 +885,7 @@ class ServerSystem:
                     continue
                 self.noc.send(MessageType.GENERATED_REQUEST)
                 if self.llc.clean(block):
-                    self._issue_dram(block, kind, core, pc)
+                    self._issue_dram(block, kind, core)
                     counters.inc(counter)
                     self.noc.send(MessageType.DATA)
 
@@ -911,41 +898,37 @@ class ServerSystem:
         overhead between the layers stripped: NOC counters bumped as plain
         attributes, traffic counters hoisted to instance ints, the LLC
         residence probe bound once per bundle, and DRAM transfers staged as
-        scalars for the batched flush instead of one ``_issue_dram`` call
-        (frame + request object) per block.
+        scalars for the batched flush without an ``_issue_dram`` call frame
+        per block.
         """
         if actions.empty:
             return
         noc = self.noc
         llc = self.llc
         array = self._llc_array
-        flat_dram = self._flat_dram
         bulk = self.config.uses_bulk_streaming
-        if flat_dram:
-            dram_blocks = self._dram_blocks
-            dram_kinds = self._dram_kinds
-            dram_arrivals = self._dram_arrivals
-            arrival = self._arrival_bus
+        dram_blocks = self._dram_blocks
+        dram_kinds = self._dram_kinds
+        dram_arrivals = self._dram_arrivals
+        dram_cores = self._dram_cores
+        arrival = self._arrival_bus
 
         if actions.fetch_blocks:
             contains = array.contains
             array_fill = array.fill
             if bulk:
-                kind = DRAMRequestKind.BULK_READ
+                kind_code = DRAMRequestKind.BULK_READ.code
             else:
-                kind = DRAMRequestKind.PREFETCH_READ
-            kind_code = kind.code
+                kind_code = DRAMRequestKind.PREFETCH_READ.code
             fetched = 0
             for block in actions.fetch_blocks:
                 if block < 0 or contains(block):
                     continue
                 noc.n_generated_request += 1
-                if flat_dram:
-                    dram_blocks.append(block)
-                    dram_kinds.append(kind_code)
-                    dram_arrivals.append(arrival)
-                else:
-                    self._issue_dram(block, kind, core, pc)
+                dram_blocks.append(block)
+                dram_kinds.append(kind_code)
+                dram_arrivals.append(arrival)
+                dram_cores.append(core)
                 fetched += 1
                 # LastLevelCache.fill inlined (one call into the flat array;
                 # the wrapper's hot counters are accumulated below / here).
@@ -969,10 +952,9 @@ class ServerSystem:
         if actions.writeback_blocks:
             array_clean = array.clean
             if bulk:
-                kind = DRAMRequestKind.BULK_WRITEBACK
+                kind_code = DRAMRequestKind.BULK_WRITEBACK.code
             else:
-                kind = DRAMRequestKind.EAGER_WRITEBACK
-            kind_code = kind.code
+                kind_code = DRAMRequestKind.EAGER_WRITEBACK.code
             cleaned = 0
             probed = 0
             for block in actions.writeback_blocks:
@@ -982,12 +964,10 @@ class ServerSystem:
                 probed += 1
                 # LastLevelCache.clean inlined (counters accumulated below).
                 if array_clean(block):
-                    if flat_dram:
-                        dram_blocks.append(block)
-                        dram_kinds.append(kind_code)
-                        dram_arrivals.append(arrival)
-                    else:
-                        self._issue_dram(block, kind, core, pc)
+                    dram_blocks.append(block)
+                    dram_kinds.append(kind_code)
+                    dram_arrivals.append(arrival)
+                    dram_cores.append(core)
                     cleaned += 1
                     noc.n_data += 1
             if probed:
@@ -999,29 +979,21 @@ class ServerSystem:
                 else:
                     self._h_eager_writebacks += cleaned
 
-    def _issue_dram(self, block: int, kind: DRAMRequestKind, core: int, pc: int) -> None:
-        arrival_bus_cycles = self._core_cycle / self._bus_ratio
-        if self._flat_dram:
-            # Stage the transfer for the next batched flush; the flat engine
-            # needs no request object (core/pc only matter to consumers of
-            # recorded completions, which the simulator never enables).
-            self._dram_blocks.append(block)
-            self._dram_kinds.append(kind.code)
-            self._dram_arrivals.append(arrival_bus_cycles)
-            return
-        request = DRAMRequest(block_address=block, kind=kind, core=core, pc=pc,
-                              arrival_cycle=arrival_bus_cycles)
-        self.memory.enqueue(request)
+    def _issue_dram(self, block: int, kind: DRAMRequestKind, core: int) -> None:
+        """Stage one transfer for the next batched flush."""
+        self._dram_blocks.append(block)
+        self._dram_kinds.append(kind.code)
+        self._dram_arrivals.append(self._core_cycle / self._bus_ratio)
+        self._dram_cores.append(core)
 
     # ------------------------------------------------------------------ #
     # Result assembly
     # ------------------------------------------------------------------ #
     def _collect_results(self) -> SimulationResult:
-        # Flush without draining, deliberately: the object engine enqueues at
-        # issue time (serving only eager threshold bursts), so a direct
-        # caller that skipped run()'s final drain observes partially-served
-        # queues there.  Flushing the staged batch reproduces exactly that
-        # state on the flat engine; draining here would *diverge* from it.
+        # Flush without draining, deliberately: a direct caller that skipped
+        # run()'s final drain observes the queues exactly as the eager
+        # threshold drains left them, on either engine.  Draining here
+        # would serve what that caller expects to see still pending.
         self._flush_dram()
         self._flush_hot_counters()
         config = self.config

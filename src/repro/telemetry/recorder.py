@@ -72,14 +72,6 @@ def resolve_telemetry(
     return TelemetryRecorder(mode=telemetry)
 
 
-def _queue_occupancy(memory) -> int:
-    """Transfers enqueued but not yet served, across every channel."""
-    pending = getattr(memory, "pending_count", None)
-    if pending is not None:
-        return pending()
-    return sum(len(controller.queue) for controller in memory.controllers)
-
-
 class TelemetryRecorder:
     """Collects timeline samples and span events for one or more runs.
 
@@ -161,7 +153,7 @@ class TelemetryRecorder:
         self._accesses_total += deltas[0]
         self.timeline.append(
             [system._core_cycle, self._accesses_total,
-             _queue_occupancy(system.memory), float(intensity)] + deltas)
+             system.memory.pending_count(), float(intensity)] + deltas)
 
     def on_measurement_start(self, system) -> None:
         """Re-baseline after ``begin_measurement`` reset the counters."""

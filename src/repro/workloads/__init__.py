@@ -27,10 +27,8 @@ Figure 5, Table I and the Ideal system).
 from repro.workloads.catalog import WORKLOADS, get_workload, workload_names
 from repro.workloads.density import DensityReport, RegionDensityProfiler
 from repro.workloads.generator import (
-    CoreGenerator,
     generate_trace,
     generate_trace_buffer,
-    generate_trace_legacy,
     iter_trace_chunks,
     iterate_trace,
 )
@@ -42,10 +40,8 @@ __all__ = [
     "workload_names",
     "DensityReport",
     "RegionDensityProfiler",
-    "CoreGenerator",
     "generate_trace",
     "generate_trace_buffer",
-    "generate_trace_legacy",
     "iter_trace_chunks",
     "iterate_trace",
     "WorkloadSpec",

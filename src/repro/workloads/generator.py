@@ -21,24 +21,15 @@ The multi-core trace is the deterministic round-robin interleaving of the
 per-core streams, which models how requests from many cores mingle at the
 shared LLC and memory controllers.
 
-Two engines produce that stream:
-
-* The **columnar engine** (:func:`iter_trace_chunks`,
-  :func:`generate_trace_buffer`) is the canonical path.  Every job draws all
-  of its randomness in batched ``np.random.Generator`` calls and lands
-  directly in :class:`repro.trace.buffer.TraceBuffer` column arrays; the
-  round-robin interleave is pure strided array assignment.  Because the
-  global stream position ``g`` belongs to core ``g % C`` and job slot
-  ``(g // C) % J``, each (core, slot) pair owns the arithmetic progression
-  ``g ≡ core + C·slot (mod C·J)`` of positions, and each pair draws from its
-  own named RNG stream -- so the emitted trace is bit-identical for every
-  chunk size.
-* :class:`CoreGenerator` is the legacy object-at-a-time reference
-  implementation, kept for per-access experimentation and as the baseline
-  the trace-pipeline benchmark measures the columnar engine against.  Its
-  stream interleaves job-creation and access draws on one per-core RNG, so
-  its output is *statistically* equivalent but not byte-equal to the
-  columnar stream.
+The columnar engine (:func:`iter_trace_chunks`,
+:func:`generate_trace_buffer`) produces that stream.  Every job draws all of
+its randomness in batched ``np.random.Generator`` calls and lands directly
+in :class:`repro.trace.buffer.TraceBuffer` column arrays; the round-robin
+interleave is pure strided array assignment.  Because the global stream
+position ``g`` belongs to core ``g % C`` and job slot ``(g // C) % J``, each
+(core, slot) pair owns the arithmetic progression ``g ≡ core + C·slot (mod
+C·J)`` of positions, and each pair draws from its own named RNG stream -- so
+the emitted trace is bit-identical for every chunk size.
 
 :func:`generate_trace` and :func:`iterate_trace` are thin compatibility
 shims over the columnar engine: they return the canonical stream as boxed
@@ -47,12 +38,12 @@ shims over the columnar engine: they return the canonical stream as boxed
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
-from repro.common.request import Access, AccessType
+from repro.common.request import Access
 from repro.common.rng import seeded_generator, zipf_weights
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE, TraceBuffer
 from repro.workloads.spec import WorkloadSpec
@@ -76,11 +67,11 @@ _OFFSET_CHOICES = BLOCK_SIZE // 8
 # Shared dataset layout
 # --------------------------------------------------------------------- #
 class _CoreLayout:
-    """Per-core dataset layout shared by both generator engines.
+    """Per-core dataset layout shared by every job slot of a core.
 
-    Drawn from the ``.../core{c}`` RNG stream in a fixed order, so the
-    columnar engine and the legacy :class:`CoreGenerator` see the identical
-    coarse-object pool and popularity distribution for a given seed.
+    Drawn from the ``.../core{c}`` RNG stream in a fixed order, so all of a
+    core's slots see the identical coarse-object pool and popularity
+    distribution for a given seed.
     """
 
     __slots__ = ("object_bases", "object_cdf", "coarse_read_pcs",
@@ -315,175 +306,6 @@ def generate_trace_buffer(spec: WorkloadSpec, num_accesses: int,
     return TraceBuffer.concat(
         list(iter_trace_chunks(spec, num_accesses, num_cores=num_cores,
                                seed=seed, chunk_size=chunk_size)))
-
-
-# --------------------------------------------------------------------- #
-# Legacy object-at-a-time engine (reference implementation)
-# --------------------------------------------------------------------- #
-class CoarseScanJob:
-    """Scan of one coarse-grained software object."""
-
-    __slots__ = ("blocks", "position", "is_write", "pc", "repeats_left")
-
-    def __init__(self, blocks: List[int], is_write: bool, pc: int) -> None:
-        self.blocks = blocks
-        self.position = 0
-        self.is_write = is_write
-        self.pc = pc
-        self.repeats_left = 0
-
-    @property
-    def done(self) -> bool:
-        """True when every selected block of the object has been visited."""
-        return self.position >= len(self.blocks)
-
-    def next_access(self, core: int, rng: np.random.Generator,
-                    spec: WorkloadSpec) -> Access:
-        """Produce the next access of the scan."""
-        if self.repeats_left > 0:
-            self.repeats_left -= 1
-            block = self.blocks[max(self.position - 1, 0)]
-        else:
-            block = self.blocks[self.position]
-            self.position += 1
-            extra = spec.accesses_per_block - 1.0
-            if extra > 0 and rng.random() < extra:
-                self.repeats_left = 1
-        offset = int(rng.integers(0, _OFFSET_CHOICES)) * 8
-        access_type = AccessType.STORE if self.is_write else AccessType.LOAD
-        instructions = max(1, int(rng.poisson(spec.instructions_per_access)))
-        return Access(core=core, pc=self.pc, address=block + offset,
-                      type=access_type, instructions=instructions)
-
-
-class PointerChaseJob:
-    """A chain of dependent accesses through a huge index structure."""
-
-    __slots__ = ("hops_left", "pcs", "fine_base", "fine_span")
-
-    def __init__(self, hops: int, pcs, fine_base: int, fine_span: int) -> None:
-        self.hops_left = hops
-        self.pcs = pcs
-        self.fine_base = fine_base
-        self.fine_span = fine_span
-
-    @property
-    def done(self) -> bool:
-        """True when the chain has been fully traversed."""
-        return self.hops_left <= 0
-
-    def next_access(self, core: int, rng: np.random.Generator,
-                    spec: WorkloadSpec) -> Access:
-        """Produce the next hop of the chase."""
-        self.hops_left -= 1
-        block = self.fine_base + int(rng.integers(0, self.fine_span // BLOCK_SIZE)) * BLOCK_SIZE
-        pc = int(self.pcs[int(rng.integers(0, len(self.pcs)))])
-        is_store = rng.random() < spec.fine_store_fraction
-        access_type = AccessType.STORE if is_store else AccessType.LOAD
-        offset = int(rng.integers(0, _OFFSET_CHOICES)) * 8
-        instructions = max(1, int(rng.poisson(spec.instructions_per_access)))
-        return Access(core=core, pc=pc, address=block + offset,
-                      type=access_type, instructions=instructions)
-
-
-class CoreGenerator:
-    """Generates the access stream of one core, one boxed access at a time.
-
-    This is the legacy reference engine: job creation and access emission
-    interleave on a single per-core RNG, so its stream is statistically (not
-    byte-) equivalent to the columnar engine's.  It remains the baseline the
-    trace-pipeline benchmark compares against and a convenient handle for
-    per-access experimentation.
-    """
-
-    def __init__(self, spec: WorkloadSpec, core: int, seed: int = 42) -> None:
-        self.spec = spec
-        self.core = core
-        self.rng = seeded_generator(seed, f"{spec.seed_stream}/core{core}")
-        self._layout = _CoreLayout(spec, self.rng)
-        self._jobs: List[object] = [self._new_job() for _ in range(spec.jobs_per_core)]
-        self._next_job = 0
-
-    # ------------------------------------------------------------------ #
-    # Job management
-    # ------------------------------------------------------------------ #
-    def _new_job(self):
-        spec = self.spec
-        if self.rng.random() < spec.coarse_job_fraction:
-            return self._new_coarse_job()
-        return self._new_fine_job()
-
-    def _new_coarse_job(self) -> CoarseScanJob:
-        spec = self.spec
-        layout = self._layout
-        index = int(np.searchsorted(layout.object_cdf, self.rng.random()))
-        index = min(index, len(layout.object_bases) - 1)
-        base = int(layout.object_bases[index])
-        low, high = spec.coarse_object_bytes
-        size = int(self.rng.integers(low // BLOCK_SIZE, high // BLOCK_SIZE + 1)) * BLOCK_SIZE
-        blocks = [base + offset for offset in range(0, size, BLOCK_SIZE)]
-        if spec.coarse_touch_fraction < 1.0:
-            keep = self.rng.random(len(blocks)) < spec.coarse_touch_fraction
-            blocks = [block for block, kept in zip(blocks, keep) if kept]
-            if not blocks:
-                blocks = [base]
-        is_write = self.rng.random() < spec.coarse_write_fraction
-        if self.rng.random() >= spec.coarse_sequential_fraction:
-            # Data-dependent walk: same footprint, shuffled visiting order.
-            order = self.rng.permutation(len(blocks))
-            blocks = [blocks[i] for i in order]
-        if self.rng.random() < spec.coarse_pc_noise:
-            # A cold code path touches this object: the PC is effectively
-            # unique, so PC-indexed predictors cannot anticipate the scan.
-            pc = _COLD_PC_BASE + 16 * int(self.rng.integers(0, _COLD_PC_POOL))
-        else:
-            pcs = layout.coarse_write_pcs if is_write else layout.coarse_read_pcs
-            pc = int(pcs[int(self.rng.integers(0, len(pcs)))])
-        return CoarseScanJob(blocks=blocks, is_write=is_write, pc=pc)
-
-    def _new_fine_job(self) -> PointerChaseJob:
-        spec = self.spec
-        low, high = spec.fine_chain_hops
-        hops = int(self.rng.integers(low, high + 1))
-        return PointerChaseJob(hops=hops, pcs=self._layout.fine_pcs,
-                               fine_base=self._layout.fine_base,
-                               fine_span=spec.fine_space_bytes)
-
-    # ------------------------------------------------------------------ #
-    # Access stream
-    # ------------------------------------------------------------------ #
-    def next_access(self) -> Access:
-        """Produce the core's next memory access, replacing finished jobs."""
-        job_index = self._next_job
-        self._next_job = (self._next_job + 1) % len(self._jobs)
-        job = self._jobs[job_index]
-        access = job.next_access(self.core, self.rng, self.spec)
-        if job.done:
-            self._jobs[job_index] = self._new_job()
-        return access
-
-    def stream(self, count: int) -> Iterator[Access]:
-        """Yield ``count`` accesses from this core."""
-        for _ in range(count):
-            yield self.next_access()
-
-
-def generate_trace_legacy(spec: WorkloadSpec, num_accesses: int,
-                          num_cores: int = 16, seed: int = 42) -> List[Access]:
-    """Generate a trace with the object-at-a-time reference engine.
-
-    Used by the trace-pipeline benchmark as the pre-columnar baseline; new
-    code should use :func:`generate_trace_buffer` or :func:`iter_trace_chunks`.
-    """
-    if num_accesses < 0:
-        raise ValueError("num_accesses must be non-negative")
-    generators = [CoreGenerator(spec, core, seed=seed) for core in range(num_cores)]
-    trace: List[Access] = []
-    core = 0
-    for _ in range(num_accesses):
-        trace.append(generators[core].next_access())
-        core = (core + 1) % num_cores
-    return trace
 
 
 # --------------------------------------------------------------------- #

@@ -30,20 +30,21 @@ def _params():
 
 
 def _systems(mapping_factory=make_region_interleaving,
-             policy=PagePolicy.OPEN):
+             policy=PagePolicy.OPEN, window=None):
     params = _params()
     org = params.dram_org
     timing = params.dram_timing
     mapping = mapping_factory(org, org.row_buffer_bytes)
-    window = org.transaction_queue_entries
+    if window is None:
+        window = org.transaction_queue_entries
     obj = MemorySystem(timing, org, mapping, policy, window=window,
-                       fast_scheduler=True, record_completed=False)
+                       record_completed=False)
     flat = FlatMemorySystem(timing, org, mapping, policy, window=window)
     return obj, flat
 
 
 def _random_stream(n, seed=0, region_runs=True):
-    """(blocks, kind codes, arrivals): a mix of random and same-region runs."""
+    """(blocks, kind codes, arrivals, cores): random and same-region runs."""
     rng = np.random.default_rng(seed)
     if region_runs:
         base = rng.integers(0, 1 << 20, (n + 3) // 4).astype(np.int64)
@@ -55,15 +56,18 @@ def _random_stream(n, seed=0, region_runs=True):
     kinds = rng.choice(len(KINDS), size=n,
                        p=[0.45, 0.1, 0.1, 0.25, 0.05, 0.05]).astype(np.int64)
     arrivals = np.cumsum(rng.random(n) * 1.5)
-    return blocks, kinds, arrivals
+    cores = rng.integers(0, 16, n).astype(np.int64)
+    return blocks, kinds, arrivals, cores
 
 
-def _feed_object(system, blocks, kinds, arrivals):
-    for block, kind, arrival in zip(blocks.tolist(), kinds.tolist(),
-                                    arrivals.tolist()):
-        system.enqueue(DRAMRequest(block_address=block, kind=KINDS[kind],
-                                   arrival_cycle=arrival))
+def _feed(system, stream):
+    """Enqueue ``stream`` as one batch and serve all of it."""
+    system.enqueue_block_batch(*stream)
     system.drain()
+
+
+def _slice(stream, start, stop):
+    return [column[start:stop] for column in stream]
 
 
 GEOMETRIES = [
@@ -75,13 +79,16 @@ GEOMETRIES = [
 
 
 class TestBitIdentity:
+    # ``window=8`` keeps the flat engine's ready buckets and demand FIFO
+    # reaching behind the scheduling window, where they must be ignored.
+    @pytest.mark.parametrize("window", [None, 8], ids=["org-window", "window-8"])
     @pytest.mark.parametrize("mapping_factory,policy", GEOMETRIES)
-    def test_stats_identical_over_mixed_stream(self, mapping_factory, policy):
-        obj, flat = _systems(mapping_factory, policy)
-        blocks, kinds, arrivals = _random_stream(20_000, seed=3)
-        _feed_object(obj, blocks, kinds, arrivals)
-        flat.enqueue_block_batch(blocks, kinds, arrivals)
-        flat.drain()
+    def test_stats_identical_over_mixed_stream(self, mapping_factory, policy,
+                                               window):
+        obj, flat = _systems(mapping_factory, policy, window)
+        stream = _random_stream(20_000, seed=3)
+        _feed(obj, stream)
+        _feed(flat, stream)
         assert flat.aggregate_stats().snapshot() == obj.aggregate_stats().snapshot()
         assert flat.elapsed_cycles == obj.elapsed_cycles
         assert flat.bandwidth_bound_cycles == obj.bandwidth_bound_cycles
@@ -89,25 +96,22 @@ class TestBitIdentity:
 
     def test_batch_boundaries_are_invisible(self):
         """Splitting a stream into arbitrary batches changes nothing."""
-        blocks, kinds, arrivals = _random_stream(12_000, seed=11)
+        stream = _random_stream(12_000, seed=11)
         _, one_shot = _systems()
-        one_shot.enqueue_block_batch(blocks, kinds, arrivals)
-        one_shot.drain()
+        _feed(one_shot, stream)
         reference = one_shot.aggregate_stats().snapshot()
         for batch in (1, 7, 63, 64, 65, 4096):
             _, chunked = _systems()
-            for start in range(0, len(blocks), batch):
-                chunked.enqueue_block_batch(blocks[start:start + batch],
-                                            kinds[start:start + batch],
-                                            arrivals[start:start + batch])
+            for start in range(0, len(stream[0]), batch):
+                chunked.enqueue_block_batch(*_slice(stream, start, start + batch))
             chunked.drain()
             assert chunked.aggregate_stats().snapshot() == reference, batch
 
     def test_scalar_enqueue_matches_batch(self):
-        blocks, kinds, arrivals = _random_stream(3_000, seed=5)
+        stream = _random_stream(3_000, seed=5)
+        blocks, kinds, arrivals, _ = stream
         _, batched = _systems()
-        batched.enqueue_block_batch(blocks, kinds, arrivals)
-        batched.drain()
+        _feed(batched, stream)
         _, scalar = _systems()
         for block, kind, arrival in zip(blocks.tolist(), kinds.tolist(),
                                         arrivals.tolist()):
@@ -119,10 +123,9 @@ class TestBitIdentity:
 
     def test_per_channel_stats_match_controllers(self):
         obj, flat = _systems()
-        blocks, kinds, arrivals = _random_stream(8_000, seed=9)
-        _feed_object(obj, blocks, kinds, arrivals)
-        flat.enqueue_block_batch(blocks, kinds, arrivals)
-        flat.drain()
+        stream = _random_stream(8_000, seed=9)
+        _feed(obj, stream)
+        _feed(flat, stream)
         assert len(flat.controllers) == len(obj.controllers)
         for view, controller in zip(flat.controllers, obj.controllers):
             assert view.stats.snapshot() == controller.stats.snapshot()
@@ -131,8 +134,7 @@ class TestBitIdentity:
 
     def test_drain_is_idempotent_and_returns_nothing(self):
         _, flat = _systems()
-        blocks, kinds, arrivals = _random_stream(500, seed=1)
-        flat.enqueue_block_batch(blocks, kinds, arrivals)
+        flat.enqueue_block_batch(*_random_stream(500, seed=1))
         assert flat.drain() == []
         first = flat.aggregate_stats().snapshot()
         assert flat.drain() == []
@@ -144,21 +146,17 @@ class TestRingBuffer:
     def test_compaction_preserves_order_over_long_streams(self):
         """Streams far beyond the compaction threshold stay bit-identical."""
         obj, flat = _systems()
-        blocks, kinds, arrivals = _random_stream(60_000, seed=21,
-                                                 region_runs=False)
-        _feed_object(obj, blocks, kinds, arrivals)
-        for start in range(0, len(blocks), 1000):
-            flat.enqueue_block_batch(blocks[start:start + 1000],
-                                     kinds[start:start + 1000],
-                                     arrivals[start:start + 1000])
+        stream = _random_stream(60_000, seed=21, region_runs=False)
+        _feed(obj, stream)
+        for start in range(0, len(stream[0]), 1000):
+            flat.enqueue_block_batch(*_slice(stream, start, start + 1000))
         flat.drain()
         assert flat.aggregate_stats().snapshot() == obj.aggregate_stats().snapshot()
 
     def test_queue_stays_bounded_during_batches(self):
         """Eager draining keeps each channel under twice the window."""
         _, flat = _systems()
-        blocks, kinds, arrivals = _random_stream(10_000, seed=2)
-        flat.enqueue_block_batch(blocks, kinds, arrivals)
+        flat.enqueue_block_batch(*_random_stream(10_000, seed=2))
         bound = 2 * flat.window * len(flat.controllers)
         assert flat.pending_count() <= bound
 
@@ -166,26 +164,24 @@ class TestRingBuffer:
 class TestCounters:
     def test_reset_counters_preserves_architectural_state(self):
         obj, flat = _systems()
-        blocks, kinds, arrivals = _random_stream(6_000, seed=13)
-        half = len(blocks) // 2
-        _feed_object(obj, blocks[:half], kinds[:half], arrivals[:half])
-        flat.enqueue_block_batch(blocks[:half], kinds[:half], arrivals[:half])
-        flat.drain()
+        stream = _random_stream(6_000, seed=13)
+        half = len(stream[0]) // 2
+        _feed(obj, _slice(stream, 0, half))
+        _feed(flat, _slice(stream, 0, half))
         for controller in obj.controllers:
             controller.reset_counters()
         for view in flat.controllers:
             view.reset_counters()
         assert flat.aggregate_stats().snapshot() == obj.aggregate_stats().snapshot()
-        _feed_object(obj, blocks[half:], kinds[half:], arrivals[half:])
-        flat.enqueue_block_batch(blocks[half:], kinds[half:], arrivals[half:])
-        flat.drain()
+        _feed(obj, _slice(stream, half, None))
+        _feed(flat, _slice(stream, half, None))
         # Post-warmup measurements still identical: row-buffer and bank
         # timing state survived the reset on both engines.
         assert flat.aggregate_stats().snapshot() == obj.aggregate_stats().snapshot()
 
     def test_channel_of_matches_object_engine(self):
         obj, flat = _systems()
-        blocks, _, _ = _random_stream(1_000, seed=17)
+        blocks = _random_stream(1_000, seed=17)[0]
         for block in blocks.tolist():
             assert flat.channel_of(block) == obj.channel_of(block)
 

@@ -280,18 +280,23 @@ class TestValidation:
             load_snapshot(path)
 
     def test_v1_snapshot_refused(self, tmp_path):
-        """v1 pickled BuMP's tables as AssociativeTables: refuse, don't misload."""
+        """Older layouts are refused, not misloaded.
+
+        v1 pickled BuMP's tables as AssociativeTables; v2 pickled the
+        object DRAM engine's FR-FCFS ready-tracking state.
+        """
         system = ServerSystem(_config(), workload_name=WORKLOAD)
         snapshot, _, _ = capture_warmup(system, _trace(), 2_000)
-        snapshot.format_version = 1
-        path = tmp_path / "v1.npz"
-        save_snapshot(snapshot, path)
-        message = (r"snapshot format v1 is not supported by this build "
-                   r"\(expected v2\): capture the warm state again")
-        with pytest.raises(ValueError, match=message):
-            load_snapshot(path)
-        with pytest.raises(ValueError, match=message):
-            restore(snapshot)
+        for version in (1, 2):
+            snapshot.format_version = version
+            path = tmp_path / f"v{version}.npz"
+            save_snapshot(snapshot, path)
+            message = (rf"snapshot format v{version} is not supported by this "
+                       r"build \(expected v3\): capture the warm state again")
+            with pytest.raises(ValueError, match=message):
+                load_snapshot(path)
+            with pytest.raises(ValueError, match=message):
+                restore(snapshot)
 
     def test_empty_warmup_rejected(self):
         system = ServerSystem(_config(), workload_name=WORKLOAD)

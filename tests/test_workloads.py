@@ -5,7 +5,12 @@ import pytest
 from repro.common.addressing import BLOCK_SIZE
 from repro.common.request import AccessType
 from repro.workloads.catalog import DISPLAY_NAMES, WORKLOADS, display_name, get_workload, workload_names
-from repro.workloads.generator import CoreGenerator, generate_trace, iterate_trace, trace_store_fraction
+from repro.workloads.generator import (
+    generate_trace,
+    generate_trace_buffer,
+    iterate_trace,
+    trace_store_fraction,
+)
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -114,10 +119,17 @@ def test_trace_contains_loads_and_stores_with_positive_instruction_counts():
     assert 0.05 < store_fraction < 0.7
 
 
+def _core0_rows(spec, accesses_per_core, seed, num_cores=4):
+    """Core 0's (pcs, addresses) in the canonical trace, in stream order."""
+    trace = generate_trace_buffer(spec, accesses_per_core * num_cores,
+                                  num_cores=num_cores, seed=seed)
+    rows = trace.core == 0
+    return trace.pc[rows].tolist(), trace.address[rows].tolist()
+
+
 def test_core_generator_produces_coarse_and_fine_pcs():
     spec = get_workload("web_search")
-    generator = CoreGenerator(spec, core=0, seed=11)
-    pcs = {generator.next_access().pc for _ in range(3000)}
+    pcs = set(_core0_rows(spec, 3000, seed=11)[0])
     coarse = [pc for pc in pcs if 0x400000 <= pc < 0x600000]
     fine = [pc for pc in pcs if 0x600000 <= pc < 0x700000]
     assert coarse and fine
@@ -134,8 +146,7 @@ def test_coarse_scans_touch_contiguous_region_blocks():
         coarse_sequential_fraction=1.0, coarse_job_fraction=1.0, jobs_per_core=1,
         coarse_pc_noise=0.0,
     )
-    generator = CoreGenerator(spec, core=0, seed=13)
-    accesses = [generator.next_access() for _ in range(200)]
-    blocks = [a.address // BLOCK_SIZE for a in accesses]
+    addresses = _core0_rows(spec, 200, seed=13)[1]
+    blocks = [address // BLOCK_SIZE for address in addresses]
     forward_steps = sum(1 for a, b in zip(blocks, blocks[1:]) if b - a in (0, 1))
     assert forward_steps > len(blocks) * 0.7
